@@ -10,6 +10,14 @@
  * bytes to BENCH_compile_scale.json. A full-session compile with the
  * per-pass breakdown rides along for context.
  *
+ * A full-pipeline tier follows: cold Session::compile() (clustering,
+ * unbounded remote stitching, codegen, analysis, scheduling) of the
+ * fixed Sec 6.4.1 random graphs (generator seed 17) at 5k and 10k
+ * nodes, whose remote stitching folds them into a few giant clusters.
+ * It reports the 10k/5k compile-time growth, the best of three cold
+ * compiles per size; near-linear compile keeps it near 2x, and above
+ * kMaxPipelineGrowth the binary fails.
+ *
  * Environment:
  *   ASTITCH_SCALE_MAX_NODES   cap the sweep tier (default 100000); CI
  *                             smoke runs at 10000.
@@ -19,8 +27,10 @@
  *   ASTITCH_BENCH_SCALE_JSON  output path (default
  *                             BENCH_compile_scale.json).
  *
- * Exit codes: 0 ok; 2 budget exceeded; 3 optimized/reference mismatch.
+ * Exit codes: 0 ok; 2 budget exceeded; 3 optimized/reference mismatch;
+ * 4 full-pipeline growth above kMaxPipelineGrowth.
  */
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -55,6 +65,9 @@ scaleGraph(int nodes, unsigned seed)
 }
 
 constexpr int kMaxClusterNodes = 64;
+
+/** Ceiling on the full-pipeline 10k/5k compile-time growth. */
+constexpr double kMaxPipelineGrowth = 3.5;
 
 using SteadyClock = std::chrono::steady_clock;
 
@@ -244,6 +257,51 @@ runTier(int nodes, TierRecord &r)
     return true;
 }
 
+/** Full-pipeline tier: cold compiles of the Sec 6.4.1 graphs. */
+struct PipelineRecord
+{
+    double compile_5k_ms = 0.0;
+    double compile_10k_ms = 0.0;
+    double growth = 0.0;
+};
+
+/** Best of three cold Session::compile() wall times, in ms. */
+double
+coldCompileMs(const Graph &graph)
+{
+    double best = 0.0;
+    for (int run = 0; run < 3; ++run) {
+        SessionOptions options;
+        options.compile_threads = 2;
+        Session session(graph, makeBackend(Which::AStitch), options);
+        const auto t0 = SteadyClock::now();
+        session.compile();
+        const double ms = msSince(t0);
+        best = run == 0 ? ms : std::min(best, ms);
+    }
+    return best;
+}
+
+/** The Sec 6.4.1 random graph with @p nodes nodes (generator seed 17). */
+Graph
+sec641Graph(int nodes)
+{
+    workloads::RandomGraphConfig config;
+    config.num_nodes = nodes;
+    config.seed = 17;
+    return workloads::buildRandomGraph(config);
+}
+
+PipelineRecord
+runPipelineTier()
+{
+    PipelineRecord r;
+    r.compile_5k_ms = coldCompileMs(sec641Graph(5000));
+    r.compile_10k_ms = coldCompileMs(sec641Graph(10000));
+    r.growth = r.compile_10k_ms / r.compile_5k_ms;
+    return r;
+}
+
 void
 printTier(const TierRecord &r)
 {
@@ -260,7 +318,7 @@ printTier(const TierRecord &r)
 
 void
 writeJson(const std::vector<TierRecord> &records, int max_nodes,
-          double budget_ms)
+          double budget_ms, const PipelineRecord &pipeline)
 {
     const char *env = std::getenv("ASTITCH_BENCH_SCALE_JSON");
     const std::string path = env ? env : "BENCH_compile_scale.json";
@@ -302,7 +360,11 @@ writeJson(const std::vector<TierRecord> &records, int max_nodes,
              << ",\"parallel_section_ms\":" << t.parallel_section_ms
              << ",\"scheduling_ms\":" << t.scheduling_ms << "}}";
     }
-    file << "]}\n";
+    file << "],\"full_pipeline\":{\"graph_seed\":17"
+         << ",\"compile_5k_ms\":" << pipeline.compile_5k_ms
+         << ",\"compile_10k_ms\":" << pipeline.compile_10k_ms
+         << ",\"growth\":" << pipeline.growth
+         << ",\"growth_max\":" << kMaxPipelineGrowth << "}}\n";
     std::printf("wrote %zu tier records to %s\n", records.size(),
                 path.c_str());
 }
@@ -344,7 +406,14 @@ main()
         printTier(r);
         records.push_back(r);
     }
-    writeJson(records, max_nodes, budget_ms);
+
+    const PipelineRecord pipeline = runPipelineTier();
+    std::printf("\nfull pipeline, Sec 6.4.1 graphs (seed 17), best of 3 "
+                "cold compiles: 5k %.1f ms, 10k %.1f ms, growth %.2fx "
+                "(ceiling %.2fx)\n",
+                pipeline.compile_5k_ms, pipeline.compile_10k_ms,
+                pipeline.growth, kMaxPipelineGrowth);
+    writeJson(records, max_nodes, budget_ms, pipeline);
 
     if (!records.empty() && budget_ms > 0.0 &&
         records.back().opt_end_to_end_ms > budget_ms) {
@@ -354,6 +423,13 @@ main()
                      records.back().opt_end_to_end_ms, budget_ms,
                      records.back().nodes);
         return 2;
+    }
+    if (pipeline.growth > kMaxPipelineGrowth) {
+        std::fprintf(stderr,
+                     "GROWTH EXCEEDED: full-pipeline compile grows %.2fx "
+                     "from 5k to 10k nodes (ceiling %.2fx)\n",
+                     pipeline.growth, kMaxPipelineGrowth);
+        return 4;
     }
     return 0;
 }

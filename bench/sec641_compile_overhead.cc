@@ -55,10 +55,12 @@ randomGraph(int nodes, unsigned seed)
     return workloads::buildRandomGraph(config);
 }
 
-/** Cap on remote-stitched cluster size during the thread sweep.
- * Unbounded remote stitching folds a random graph into ~2 mega-clusters,
- * which caps cluster-level parallelism at 2x no matter the thread
- * count; production deployments bound the stitching scope anyway. */
+/** Cap on remote stitching during the thread sweep: remote stitching
+ * stops merging clusters once a merge would exceed this many nodes, so
+ * it no longer folds a random graph into ~2 mega-clusters and caps
+ * cluster-level parallelism at 2x. The cap bounds remote stitching
+ * only: the memory-intensive clusters it starts from can be far larger
+ * (clustering still yields 7,668-node clusters at cap 64). */
 constexpr int kSweepMaxClusterNodes = 64;
 
 /**

@@ -4,6 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <string_view>
+#include <tuple>
+#include <unordered_map>
 
 #include "analysis/shape_symbolic.h"
 #include "sim/cost_model.h"
@@ -31,17 +34,20 @@ struct WriteCoverage
  * (block or device), off-chip staging needs a device-wide one.
  */
 bool
-orderedByBarrier(const KernelPlan &plan, int p, int q, bool needs_device)
+orderedByBarrier(const BarrierIndex &barriers, int p, int q,
+                 bool needs_device)
 {
-    const int lo = std::min(p, q);
-    const int hi = std::max(p, q);
-    return std::any_of(plan.barriers.begin(), plan.barriers.end(),
-                       [&](const BarrierPoint &b) {
-                           if (b.after_op < lo || b.after_op >= hi)
-                               return false;
-                           return !needs_device ||
-                                  b.scope == BarrierScope::Device;
-                       });
+    return barriers.inRange(std::min(p, q), std::max(p, q), needs_device);
+}
+
+/** Accesses grouped by buffer, each group in ascending access index. */
+std::unordered_map<std::string_view, std::vector<std::size_t>>
+accessesByBuffer(const std::vector<OpAccess> &accesses)
+{
+    std::unordered_map<std::string_view, std::vector<std::size_t>> buckets;
+    for (std::size_t i = 0; i < accesses.size(); ++i)
+        buckets[accesses[i].buffer].push_back(i);
+    return buckets;
 }
 
 void
@@ -92,61 +98,125 @@ checkBounds(const KernelPlan &plan, DiagnosticEngine &engine)
     }
 }
 
+/**
+ * AS711/AS712. Only two accesses to one buffer whose element ranges
+ * overlap and whose ops no barrier separates can race. So each buffer's
+ * accesses are grouped by barrier epoch (ops with no barrier between
+ * them share one), each group is swept in ascending minIndex order, and
+ * each access is paired only with the accesses that start inside its
+ * range. Findings are reported in ascending (i, j) access order, the
+ * order of a plain all-pairs scan.
+ */
 void
 checkRaces(const KernelPlan &plan, DiagnosticEngine &engine)
 {
     const auto &accesses = plan.accesses;
-    for (std::size_t i = 0; i < accesses.size(); ++i) {
-        for (std::size_t j = i + 1; j < accesses.size(); ++j) {
-            const OpAccess &a = accesses[i];
-            const OpAccess &b = accesses[j];
-            if (a.op_index == b.op_index)
-                continue; // program order within one op's emission
-            if (a.kind == AccessKind::Read && b.kind == AccessKind::Read)
-                continue;
-            if (!rangesOverlap(a, b))
-                continue;
-            const bool needs_device = a.space != AccessSpace::Shared;
-            if (a.kind == AccessKind::Write &&
-                b.kind == AccessKind::Write) {
-                // Identical mappings keep both writes inside one
-                // thread, ordered by that thread's program order.
-                if (sameMapping(a, b))
-                    continue;
-                if (!orderedByBarrier(plan, a.op_index, b.op_index,
-                                      needs_device)) {
-                    engine.report(
-                        "AS711", plan.name,
-                        strCat("unordered overlapping writes to ",
-                               a.buffer, " by ops ", a.op_index,
-                               " and ", b.op_index),
-                        a.node);
-                }
-                continue;
-            }
-            // Write-read (either order) on a staging buffer: the value
-            // crosses threads by design, so a barrier of the buffer's
-            // scope must separate the two schedule positions.
-            if (a.space != AccessSpace::Shared &&
-                a.space != AccessSpace::Scratch) {
-                continue; // inputs/outputs have no in-kernel pairing
-            }
-            if (!orderedByBarrier(plan, a.op_index, b.op_index,
+    const BarrierIndex barriers(plan.barriers);
+    struct Span
+    {
+        std::size_t epoch;
+        std::int64_t lo;
+        std::int64_t hi;
+        std::size_t index;
+    };
+    struct Finding
+    {
+        std::size_t i;
+        std::size_t j;
+        bool write_write;
+    };
+    std::vector<Finding> findings;
+    // Pair (i, j), i < j, whose element ranges are known to overlap.
+    const auto checkPair = [&](std::size_t i, std::size_t j) {
+        const OpAccess &a = accesses[i];
+        const OpAccess &b = accesses[j];
+        if (a.op_index == b.op_index)
+            return; // program order within one op's emission
+        if (a.kind == AccessKind::Read && b.kind == AccessKind::Read)
+            return;
+        const bool needs_device = a.space != AccessSpace::Shared;
+        if (a.kind == AccessKind::Write && b.kind == AccessKind::Write) {
+            // Identical mappings keep both writes inside one thread,
+            // ordered by that thread's program order.
+            if (!sameMapping(a, b) &&
+                !orderedByBarrier(barriers, a.op_index, b.op_index,
                                   needs_device)) {
-                const OpAccess &w =
-                    a.kind == AccessKind::Write ? a : b;
-                const OpAccess &r =
-                    a.kind == AccessKind::Write ? b : a;
-                engine.report(
-                    "AS712", plan.name,
-                    strCat("write of ", w.buffer, " by op ",
-                           w.op_index, " and read by op ", r.op_index,
-                           " are not separated by a ",
-                           needs_device ? "device" : "block",
-                           "-scope barrier"),
-                    w.node);
+                findings.push_back({i, j, true});
+            }
+            return;
+        }
+        // Write-read (either order) on a staging buffer: the value
+        // crosses threads by design, so a barrier of the buffer's scope
+        // must separate the two schedule positions.
+        if (a.space != AccessSpace::Shared &&
+            a.space != AccessSpace::Scratch) {
+            return; // inputs/outputs have no in-kernel pairing
+        }
+        if (!orderedByBarrier(barriers, a.op_index, b.op_index,
+                              needs_device)) {
+            findings.push_back({i, j, false});
+        }
+    };
+
+    for (const auto &[buffer, members] : accessesByBuffer(accesses)) {
+        // Device-scope epochs are coarser, so they are sound for any
+        // mix of spaces; an all-shared buffer needs only block scope.
+        const bool device_epochs =
+            std::any_of(members.begin(), members.end(), [&](std::size_t i) {
+                return accesses[i].space != AccessSpace::Shared;
+            });
+        std::vector<Span> spans;
+        spans.reserve(members.size());
+        for (std::size_t i : members) {
+            const std::int64_t lo = accesses[i].index.minIndex();
+            const std::int64_t hi = accesses[i].effectiveMax();
+            if (hi >= lo) { // empty ranges never overlap
+                spans.push_back(
+                    {barriers.epoch(accesses[i].op_index, device_epochs), lo,
+                     hi, i});
             }
         }
+        std::sort(spans.begin(), spans.end(),
+                  [](const Span &x, const Span &y) {
+                      return std::tie(x.epoch, x.lo, x.index) <
+                             std::tie(y.epoch, y.lo, y.index);
+                  });
+        for (std::size_t k = 0; k < spans.size(); ++k) {
+            for (std::size_t m = k + 1;
+                 m < spans.size() && spans[m].epoch == spans[k].epoch &&
+                 spans[m].lo <= spans[k].hi;
+                 ++m) {
+                checkPair(std::min(spans[k].index, spans[m].index),
+                          std::max(spans[k].index, spans[m].index));
+            }
+        }
+    }
+
+    std::sort(findings.begin(), findings.end(),
+              [](const Finding &x, const Finding &y) {
+                  return std::tie(x.i, x.j) < std::tie(y.i, y.j);
+              });
+    for (const Finding &f : findings) {
+        const OpAccess &a = accesses[f.i];
+        const OpAccess &b = accesses[f.j];
+        if (f.write_write) {
+            engine.report("AS711", plan.name,
+                          strCat("unordered overlapping writes to ",
+                                 a.buffer, " by ops ", a.op_index, " and ",
+                                 b.op_index),
+                          a.node);
+            continue;
+        }
+        const bool needs_device = a.space != AccessSpace::Shared;
+        const OpAccess &w = a.kind == AccessKind::Write ? a : b;
+        const OpAccess &r = a.kind == AccessKind::Write ? b : a;
+        engine.report("AS712", plan.name,
+                      strCat("write of ", w.buffer, " by op ", w.op_index,
+                             " and read by op ", r.op_index,
+                             " are not separated by a ",
+                             needs_device ? "device" : "block",
+                             "-scope barrier"),
+                      w.node);
     }
 }
 
@@ -654,12 +724,20 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
     }
 
     if (options.races) {
+        // Same-buffer pairs (i, j), i < j, visited in the same (i, j)
+        // order as an all-pairs scan, without touching other buffers.
         const auto &accesses = plan.accesses;
+        const BarrierIndex barriers(plan.barriers);
+        const auto buckets = accessesByBuffer(accesses);
         for (std::size_t i = 0; i < accesses.size(); ++i) {
-            for (std::size_t j = i + 1; j < accesses.size(); ++j) {
+            const std::vector<std::size_t> &same =
+                buckets.at(accesses[i].buffer);
+            for (auto it = std::upper_bound(same.begin(), same.end(), i);
+                 it != same.end(); ++it) {
+                const std::size_t j = *it;
                 const OpAccess &a = accesses[i];
                 const OpAccess &b = accesses[j];
-                if (a.buffer != b.buffer || a.op_index == b.op_index)
+                if (a.op_index == b.op_index)
                     continue;
                 if (a.kind == AccessKind::Read &&
                     b.kind == AccessKind::Read)
@@ -705,7 +783,7 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
                         }
                         continue;
                     }
-                    if (orderedByBarrier(plan, a.op_index, b.op_index,
+                    if (orderedByBarrier(barriers, a.op_index, b.op_index,
                                          needs_device)) {
                         prove(); // barrier placement is shape-independent
                         continue;
@@ -733,7 +811,7 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
                     continue; // inputs/outputs have no in-kernel pairing
 
                 if (a.kind != b.kind) {
-                    if (orderedByBarrier(plan, a.op_index, b.op_index,
+                    if (orderedByBarrier(barriers, a.op_index, b.op_index,
                                          needs_device)) {
                         prove();
                         continue;
@@ -841,7 +919,7 @@ certifyCompiledCluster(const Graph &graph, CompiledCluster &compiled,
 {
     for (KernelPlan &plan : compiled.kernels) {
         if (plan.certificate.verdict != ShapeCertificate::Verdict::None)
-            continue; // already certified during emission
+            continue; // certified at most once
         if (plan.accesses.empty())
             continue;
         if (plan.sym_accesses.empty())

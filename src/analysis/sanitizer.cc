@@ -23,7 +23,17 @@ struct ScheduleView
     /** Positions of in-kernel consumers, per producer op index. */
     std::vector<std::vector<int>> consumers;
 
-    ScheduleView(const Graph &g, const KernelPlan &p) : graph(g), plan(p)
+    /** The plan's barrier positions, indexed for range queries. */
+    BarrierIndex barriers;
+
+    /** Def and last use of each arena slot's value (def < 0: none). */
+    std::vector<SlotLifetime> slot_lifetimes;
+
+    /** The slot pairs AS102 and AS401 examine (unseparatedSlotPairs). */
+    std::vector<std::pair<std::size_t, std::size_t>> slot_pairs;
+
+    ScheduleView(const Graph &g, const KernelPlan &p)
+        : graph(g), plan(p), barriers(p.barriers)
     {
         for (std::size_t i = 0; i < plan.ops.size(); ++i)
             pos.emplace(plan.ops[i].node, static_cast<int>(i));
@@ -35,15 +45,15 @@ struct ScheduleView
                     consumers[it->second].push_back(static_cast<int>(j));
             }
         }
-    }
-
-    /** True if any barrier sits at position p with @p lo <= p < @p hi. */
-    bool barrierInRange(int lo, int hi) const
-    {
-        return std::any_of(plan.barriers.begin(), plan.barriers.end(),
-                           [lo, hi](const BarrierPoint &b) {
-                               return b.after_op >= lo && b.after_op < hi;
-                           });
+        for (const SharedSlot &slot : plan.shared_slots) {
+            const auto it = pos.find(slot.node);
+            slot_lifetimes.push_back(
+                it == pos.end()
+                    ? SlotLifetime{}
+                    : SlotLifetime{it->second, lastUse(it->second)});
+        }
+        slot_pairs =
+            unseparatedSlotPairs(plan.shared_slots, slot_lifetimes, barriers);
     }
 
     /** Last schedule position reading op @p i (its own position if none). */
@@ -78,7 +88,7 @@ checkBarrierRaces(const ScheduleView &view, DiagnosticEngine &engine)
         for (int j : view.consumers[i]) {
             if (j <= static_cast<int>(i))
                 continue; // schedule-order violations are AS002's domain
-            if (!view.barrierInRange(static_cast<int>(i), j)) {
+            if (!view.barriers.inRange(static_cast<int>(i), j)) {
                 engine.report(
                     "AS101", plan.name,
                     strCat("shared-memory value ", view.opName(i),
@@ -92,43 +102,28 @@ checkBarrierRaces(const ScheduleView &view, DiagnosticEngine &engine)
     // Write-after-read hazards across arena slot reuse: disjoint-lifetime
     // values sharing bytes must be separated by a barrier between the
     // earlier value's last reader and the later value's store.
-    for (std::size_t a = 0; a < plan.shared_slots.size(); ++a) {
-        for (std::size_t b = a + 1; b < plan.shared_slots.size(); ++b) {
-            const SharedSlot &sa = plan.shared_slots[a];
-            const SharedSlot &sb = plan.shared_slots[b];
-            const bool bytes_overlap =
-                sa.offset_bytes < sb.offset_bytes + sb.size_bytes &&
-                sb.offset_bytes < sa.offset_bytes + sa.size_bytes;
-            if (!bytes_overlap)
-                continue;
-            const auto pa = view.pos.find(sa.node);
-            const auto pb = view.pos.find(sb.node);
-            if (pa == view.pos.end() || pb == view.pos.end())
-                continue;
-            const int def_a = pa->second, def_b = pb->second;
-            const int last_a = view.lastUse(def_a);
-            const int last_b = view.lastUse(def_b);
-            if (def_a <= last_b && def_b <= last_a)
-                continue; // concurrently live: AS401's domain
-            const int last_prev = def_a < def_b ? last_a : last_b;
-            const int def_next = def_a < def_b ? def_b : def_a;
-            const NodeId next =
-                def_a < def_b ? sb.node : sa.node;
-            if (!view.barrierInRange(last_prev, def_next)) {
-                engine.report(
-                    "AS102", plan.name,
-                    strCat("shared-arena bytes [",
-                           std::max(sa.offset_bytes, sb.offset_bytes),
-                           ", ",
-                           std::min(sa.offset_bytes + sa.size_bytes,
-                                    sb.offset_bytes + sb.size_bytes),
-                           ") are rewritten by ",
-                           view.opName(def_next),
-                           " before a barrier separates the previous "
-                           "value's last reader at schedule position ",
-                           last_prev),
-                    next);
-            }
+    for (const auto &[a, b] : view.slot_pairs) {
+        const SharedSlot &sa = plan.shared_slots[a];
+        const SharedSlot &sb = plan.shared_slots[b];
+        const auto [def_a, last_a] = view.slot_lifetimes[a];
+        const auto [def_b, last_b] = view.slot_lifetimes[b];
+        if (def_a <= last_b && def_b <= last_a)
+            continue; // concurrently live: AS401's domain
+        const int last_prev = def_a < def_b ? last_a : last_b;
+        const int def_next = def_a < def_b ? def_b : def_a;
+        const NodeId next = def_a < def_b ? sb.node : sa.node;
+        if (!view.barriers.inRange(last_prev, def_next)) {
+            engine.report(
+                "AS102", plan.name,
+                strCat("shared-arena bytes [",
+                       std::max(sa.offset_bytes, sb.offset_bytes), ", ",
+                       std::min(sa.offset_bytes + sa.size_bytes,
+                                sb.offset_bytes + sb.size_bytes),
+                       ") are rewritten by ", view.opName(def_next),
+                       " before a barrier separates the previous "
+                       "value's last reader at schedule position ",
+                       last_prev),
+                next);
         }
     }
 }
@@ -250,35 +245,23 @@ checkLifetimes(const ScheduleView &view, DiagnosticEngine &engine)
                 slot.node);
         }
     }
-    for (std::size_t a = 0; a < plan.shared_slots.size(); ++a) {
-        for (std::size_t b = a + 1; b < plan.shared_slots.size(); ++b) {
-            const SharedSlot &sa = plan.shared_slots[a];
-            const SharedSlot &sb = plan.shared_slots[b];
-            const bool bytes_overlap =
-                sa.offset_bytes < sb.offset_bytes + sb.size_bytes &&
-                sb.offset_bytes < sa.offset_bytes + sa.size_bytes;
-            if (!bytes_overlap)
-                continue;
-            const auto pa = view.pos.find(sa.node);
-            const auto pb = view.pos.find(sb.node);
-            if (pa == view.pos.end() || pb == view.pos.end())
-                continue;
-            const int def_a = pa->second, def_b = pb->second;
-            const int last_a = view.lastUse(def_a);
-            const int last_b = view.lastUse(def_b);
-            if (def_a <= last_b && def_b <= last_a) {
-                engine.report(
-                    "AS401", plan.name,
-                    strCat("values %", sa.node, " (live [", def_a, ", ",
-                           last_a, "]) and %", sb.node, " (live [",
-                           def_b, ", ", last_b,
-                           "]) occupy overlapping shared-arena ranges [",
-                           sa.offset_bytes, ", ",
-                           sa.offset_bytes + sa.size_bytes, ") and [",
-                           sb.offset_bytes, ", ",
-                           sb.offset_bytes + sb.size_bytes, ")"),
-                    sb.node);
-            }
+    for (const auto &[a, b] : view.slot_pairs) {
+        const SharedSlot &sa = plan.shared_slots[a];
+        const SharedSlot &sb = plan.shared_slots[b];
+        const auto [def_a, last_a] = view.slot_lifetimes[a];
+        const auto [def_b, last_b] = view.slot_lifetimes[b];
+        if (def_a <= last_b && def_b <= last_a) {
+            engine.report(
+                "AS401", plan.name,
+                strCat("values %", sa.node, " (live [", def_a, ", ",
+                       last_a, "]) and %", sb.node, " (live [", def_b,
+                       ", ", last_b,
+                       "]) occupy overlapping shared-arena ranges [",
+                       sa.offset_bytes, ", ",
+                       sa.offset_bytes + sa.size_bytes, ") and [",
+                       sb.offset_bytes, ", ",
+                       sb.offset_bytes + sb.size_bytes, ")"),
+                sb.node);
         }
     }
 }

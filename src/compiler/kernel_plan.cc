@@ -1,6 +1,7 @@
 #include "compiler/kernel_plan.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/logging.h"
 
@@ -32,6 +33,85 @@ barrierScopeName(BarrierScope scope)
         return "device";
     }
     panic("unknown barrier scope");
+}
+
+BarrierIndex::BarrierIndex(const std::vector<BarrierPoint> &barriers)
+{
+    for (const BarrierPoint &barrier : barriers) {
+        any_.push_back(barrier.after_op);
+        if (barrier.scope == BarrierScope::Device)
+            device_.push_back(barrier.after_op);
+    }
+    std::sort(any_.begin(), any_.end());
+    std::sort(device_.begin(), device_.end());
+}
+
+void
+BarrierIndex::insert(const BarrierPoint &barrier)
+{
+    const auto add = [p = barrier.after_op](std::vector<int> &points) {
+        points.insert(std::upper_bound(points.begin(), points.end(), p), p);
+    };
+    add(any_);
+    if (barrier.scope == BarrierScope::Device)
+        add(device_);
+}
+
+bool
+BarrierIndex::inRange(int lo, int hi, bool device_only) const
+{
+    const std::vector<int> &points = device_only ? device_ : any_;
+    const auto it = std::lower_bound(points.begin(), points.end(), lo);
+    return it != points.end() && *it < hi;
+}
+
+std::size_t
+BarrierIndex::epoch(int p, bool device_only) const
+{
+    const std::vector<int> &points = device_only ? device_ : any_;
+    return static_cast<std::size_t>(
+        std::lower_bound(points.begin(), points.end(), p) - points.begin());
+}
+
+int
+BarrierIndex::nextAtOrAfter(int p) const
+{
+    const auto it = std::lower_bound(any_.begin(), any_.end(), p);
+    return it == any_.end() ? std::numeric_limits<int>::max() : *it;
+}
+
+std::vector<std::pair<std::size_t, std::size_t>>
+unseparatedSlotPairs(const std::vector<SharedSlot> &slots,
+                     const std::vector<SlotLifetime> &lifetimes,
+                     const BarrierIndex &barriers)
+{
+    std::vector<std::size_t> by_def;
+    for (std::size_t i = 0; i < slots.size(); ++i)
+        if (lifetimes[i].def >= 0)
+            by_def.push_back(i);
+    std::stable_sort(by_def.begin(), by_def.end(),
+                     [&](std::size_t x, std::size_t y) {
+                         return lifetimes[x].def < lifetimes[y].def;
+                     });
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;
+    for (std::size_t k = 0; k < by_def.size(); ++k) {
+        const std::size_t a = by_def[k];
+        // A value defined later is live together with `a` or
+        // unseparated from it until a barrier follows a's last reader.
+        const int reach = barriers.nextAtOrAfter(lifetimes[a].last);
+        for (std::size_t m = k + 1;
+             m < by_def.size() && lifetimes[by_def[m]].def <= reach; ++m) {
+            const std::size_t b = by_def[m];
+            if (slots[a].offset_bytes <
+                    slots[b].offset_bytes + slots[b].size_bytes &&
+                slots[b].offset_bytes <
+                    slots[a].offset_bytes + slots[a].size_bytes) {
+                pairs.emplace_back(std::min(a, b), std::max(a, b));
+            }
+        }
+    }
+    std::sort(pairs.begin(), pairs.end());
+    return pairs;
 }
 
 bool

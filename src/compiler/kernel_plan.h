@@ -11,7 +11,9 @@
 #ifndef ASTITCH_COMPILER_KERNEL_PLAN_H
 #define ASTITCH_COMPILER_KERNEL_PLAN_H
 
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/access_model.h"
@@ -64,6 +66,36 @@ struct BarrierPoint
 };
 
 /**
+ * Sorted positions of a kernel's barrier points, answering range
+ * queries in O(log n). The sanitizer and the access verifier build one
+ * per plan; stitch codegen inserts barriers as it places them.
+ */
+class BarrierIndex
+{
+  public:
+    explicit BarrierIndex(const std::vector<BarrierPoint> &barriers);
+
+    void insert(const BarrierPoint &barrier);
+
+    /** True if a barrier sits at p with @p lo <= p < @p hi; with
+     * @p device_only, only device-scope barriers count. */
+    bool inRange(int lo, int hi, bool device_only = false) const;
+
+    /**
+     * Number of barriers at positions before @p p. Positions lo < hi
+     * are separated by a barrier iff their epochs differ.
+     */
+    std::size_t epoch(int p, bool device_only = false) const;
+
+    /** Smallest barrier position >= @p p (any scope), or INT_MAX. */
+    int nextAtOrAfter(int p) const;
+
+  private:
+    std::vector<int> any_;    ///< sorted after_op of every barrier
+    std::vector<int> device_; ///< sorted after_op of device barriers
+};
+
+/**
  * How an op's output elements are partitioned across logical blocks —
  * the thread-mapping decision of the group that scheduled the op. Two
  * ops with equal partitions produce/consume block-local element ranges
@@ -98,6 +130,29 @@ struct SharedSlot
     std::int64_t offset_bytes = 0; ///< byte offset into the smem arena
     std::int64_t size_bytes = 0;   ///< per-block footprint
 };
+
+/** Schedule positions of one arena slot's value: its def and last reader. */
+struct SlotLifetime
+{
+    int def = -1; ///< < 0: the value is not scheduled in the plan
+    int last = -1; ///< >= def
+};
+
+/**
+ * The slot pairs arena hazards can involve: every pair (a, b), a < b,
+ * of @p slots whose byte ranges intersect (`a.offset < b.offset +
+ * b.size && b.offset < a.offset + a.size`) and whose values are not
+ * separated by one of @p barriers. That is, either their lifetimes
+ * overlap, or no barrier sits between the earlier value's last reader
+ * and the later value's def. Slots with no scheduled def are skipped.
+ * Returned in (a, b) order. A sweep in def order pairs each slot only
+ * with the slots defined before its last reader's next barrier, so the
+ * cost follows the number of values live together, not all pairs.
+ */
+std::vector<std::pair<std::size_t, std::size_t>>
+unseparatedSlotPairs(const std::vector<SharedSlot> &slots,
+                     const std::vector<SlotLifetime> &lifetimes,
+                     const BarrierIndex &barriers);
 
 /** One operator scheduled inside a kernel. */
 struct ScheduledOp
@@ -180,7 +235,7 @@ struct KernelPlan
     /**
      * Shape-parametric twins of `accesses`: symbolic extents/offsets
      * over the named dimension variables the plan was compiled under
-     * (AStitchOptions/SessionOptions shape_params). Keyed into
+     * (SessionOptions shape_params). Keyed into
      * `accesses` by SymbolicAccess::access_index; accesses without a
      * twin could not be expressed linearly and fall back to concrete
      * verification. Empty when no shape params were declared.

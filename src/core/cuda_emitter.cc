@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
 #include "compiler/thread_mapping.h"
 #include "support/logging.h"
@@ -170,8 +171,7 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
                        const GpuSpec &spec, const KernelPlan &plan,
                        const DominantAnalysis &analysis,
                        const std::vector<GroupSchedule> &schedules,
-                       const MemoryPlan &memory, const LaunchConfig &launch,
-                       const std::vector<ShapeDim> &shape_params)
+                       const MemoryPlan &memory, const LaunchConfig &launch)
 {
     CudaEmission emission;
     emission.kernel_name = plan.name;
@@ -198,26 +198,6 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
         for (const OpAccess &access : plan.accesses)
             w.line(strCat("//   op", access.op_index, ": ",
                           access.toString()));
-        w.line();
-    }
-
-    // ---- Symbolic access summary + shape certificate: the
-    // shape-parametric twins and the range verdict the parametric
-    // verifier attached when dynamic dims were declared. ----
-    if (!plan.sym_accesses.empty()) {
-        const std::vector<ShapeDim> &dims =
-            plan.certificate.dims.empty() ? shape_params
-                                          : plan.certificate.dims;
-        w.line(strCat("// symbolic access summary (", plan.sym_accesses.size(),
-                      " of ", plan.accesses.size(),
-                      " accesses have linear shape forms):"));
-        for (const SymbolicAccess &sym : plan.sym_accesses)
-            w.line(strCat("//   ", sym.toString(dims)));
-        if (plan.certificate.verdict != ShapeCertificate::Verdict::None) {
-            for (const std::string &line :
-                 strSplit(plan.certificate.toString(), '\n'))
-                w.line(strCat("// ", line));
-        }
         w.line();
     }
 
@@ -267,14 +247,18 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
     std::map<NodeId, int> op_pos;
     for (std::size_t i = 0; i < plan.ops.size(); ++i)
         op_pos.emplace(plan.ops[i].node, static_cast<int>(i));
-    const auto slot_of = [&](NodeId id) -> const SharedSlot * {
-        for (const SharedSlot &slot : plan.shared_slots) {
-            if (slot.node == id)
-                return &slot;
-        }
-        return nullptr;
-    };
-    std::set<std::size_t> barriers_done;
+    std::unordered_map<NodeId, const SharedSlot *> slot_of;
+    for (const SharedSlot &slot : plan.shared_slots)
+        slot_of.emplace(slot.node, &slot);
+    const std::set<NodeId> outputs(plan.outputs.begin(), plan.outputs.end());
+    // Indices into plan.barriers per schedule position, ascending.
+    std::vector<std::vector<std::size_t>> barriers_at(plan.ops.size());
+    for (std::size_t b = 0; b < plan.barriers.size(); ++b) {
+        const int at = plan.barriers[b].after_op;
+        if (at >= 0 && at < static_cast<int>(plan.ops.size()))
+            barriers_at[at].push_back(b);
+    }
+    std::vector<bool> barriers_done(plan.barriers.size(), false);
     int device_barriers_emitted = 0;
     std::int64_t scratch_offset = 0;
 
@@ -301,10 +285,9 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
             const auto p = op_pos.find(id);
             if (p == op_pos.end())
                 return false;
-            for (std::size_t b = 0; b < plan.barriers.size(); ++b) {
-                if (plan.barriers[b].after_op == p->second &&
-                    plan.barriers[b].scope == BarrierScope::Device &&
-                    !barriers_done.count(b)) {
+            for (std::size_t b : barriers_at[p->second]) {
+                if (plan.barriers[b].scope == BarrierScope::Device &&
+                    !barriers_done[b]) {
                     return true;
                 }
             }
@@ -374,9 +357,7 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
                 // materialized to its _out buffer, not staged through
                 // the scheme buffers — consumers keep the live register
                 // (Local reuse), matching the plan's access summaries.
-                const bool op_is_output =
-                    std::find(plan.outputs.begin(), plan.outputs.end(),
-                              op) != plan.outputs.end();
+                const bool op_is_output = outputs.count(op) > 0;
                 const auto scheme = schemes.find(op);
                 if (scheme != schemes.end() && !op_is_output) {
                     if (scheme->second == StitchScheme::Regional)
@@ -450,16 +431,16 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
 
             // Buffer the result per its stitching scheme.
             const auto scheme = schemes.find(id);
-            const bool is_output =
-                std::find(plan.outputs.begin(), plan.outputs.end(),
-                          id) != plan.outputs.end();
+            const bool is_output = outputs.count(id) > 0;
             if (is_output) {
                 w.line(strCat(value, "_out[task * blockDim.x + "
                               "threadIdx.x] = ",
                               value, ";"));
             } else if (scheme != schemes.end()) {
                 if (scheme->second == StitchScheme::Regional) {
-                    const SharedSlot *slot = slot_of(id);
+                    const auto found = slot_of.find(id);
+                    const SharedSlot *slot =
+                        found == slot_of.end() ? nullptr : found->second;
                     const std::int64_t offset_words =
                         slot ? slot->offset_bytes / 4 : 0;
                     const std::int64_t words =
@@ -490,13 +471,11 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
             const auto pos_it = op_pos.find(id);
             if (pos_it == op_pos.end())
                 continue;
-            for (std::size_t b = 0; b < plan.barriers.size(); ++b) {
+            for (std::size_t b : barriers_at[pos_it->second]) {
                 const BarrierPoint &point = plan.barriers[b];
-                if (point.after_op != pos_it->second ||
-                    barriers_done.count(b)) {
+                if (barriers_done[b])
                     continue;
-                }
-                barriers_done.insert(b);
+                barriers_done[b] = true;
                 if (point.scope == BarrierScope::Block) {
                     const bool own_store =
                         plan.ops[pos_it->second].out_space ==

@@ -65,8 +65,7 @@ CudaEmission renderStitchKernelCuda(const Graph &graph,
                                     const DominantAnalysis &analysis,
                                     const std::vector<GroupSchedule> &schedules,
                                     const MemoryPlan &memory,
-                                    const LaunchConfig &launch,
-                                    const std::vector<ShapeDim> &shape_params);
+                                    const LaunchConfig &launch);
 
 /**
  * Compile @p cluster with AStitch and emit CUDA source for the stitched

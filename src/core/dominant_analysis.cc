@@ -25,6 +25,18 @@ DominantAnalysis::isSchemeBoundary(NodeId node) const
     return false;
 }
 
+std::unordered_map<NodeId, int>
+DominantAnalysis::producingGroups() const
+{
+    std::unordered_map<NodeId, int> producer;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        producer.emplace(groups[g].dominant, static_cast<int>(g));
+        for (NodeId x : groups[g].sub_dominants)
+            producer.emplace(x, static_cast<int>(g));
+    }
+    return producer;
+}
+
 namespace {
 
 /**

@@ -57,6 +57,14 @@ struct DominantAnalysis
 
     /** True if @p node is a dominant or sub-dominant of any group. */
     bool isSchemeBoundary(NodeId node) const;
+
+    /**
+     * The group producing each scheme boundary: the first group listing
+     * it as dominant or sub-dominant. Built once per call; scheme
+     * finalization, memory planning, codegen and the autotuner all make
+     * this choice.
+     */
+    std::unordered_map<NodeId, int> producingGroups() const;
 };
 
 /**

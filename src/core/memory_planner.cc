@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <queue>
+#include <set>
 
 #include "support/fault_injection.h"
 #include "support/logging.h"
@@ -31,8 +33,7 @@ regionalBytesPerBlock(const Graph &graph, const GroupSchedule &sched,
  * a scan over the schedule order accumulating live sizes.
  */
 std::int64_t
-peakLiveBytes(const std::map<NodeId, std::pair<NodeId, std::int64_t>>
-                  &intervals)
+peakLiveBytes(const LivenessIntervals &intervals)
 {
     // Events: +size at def, -size after last use.
     std::map<NodeId, std::int64_t> delta;
@@ -49,51 +50,46 @@ peakLiveBytes(const std::map<NodeId, std::pair<NodeId, std::int64_t>>
     return peak;
 }
 
-/** A concrete arena layout: slot offsets plus the bytes they span. */
-struct ArenaLayout
-{
-    std::int64_t extent = 0;
-    std::vector<SharedSlot> slots;
-};
+} // namespace
 
-/**
- * First-fit storage allocation over liveness intervals [def, last_use]:
- * values whose lifetimes are disjoint may share bytes, concurrently-live
- * values get disjoint ranges. Allocating in definition order keeps the
- * layout deterministic and, for the chain-shaped lifetimes stitched
- * clusters produce, matches the event-scan peak.
- */
 ArenaLayout
-allocateArena(const std::map<NodeId, std::pair<NodeId, std::int64_t>>
-                  &intervals)
+allocateArena(const LivenessIntervals &intervals)
 {
+    using Range = std::pair<std::int64_t, std::int64_t>;
+    using LiveSlot = std::pair<NodeId, std::multiset<Range>::iterator>;
+    const auto ends_later = [](const LiveSlot &x, const LiveSlot &y) {
+        return x.first > y.first;
+    };
     ArenaLayout layout;
+    // Byte ranges of the slots live at the current def, ordered by
+    // (lo, hi), and the same slots in a min-heap on their last use.
+    std::multiset<Range> busy;
+    std::priority_queue<LiveSlot, std::vector<LiveSlot>,
+                        decltype(ends_later)>
+        live(ends_later);
     for (const auto &[def, entry] : intervals) {
         const NodeId last = entry.first;
         const std::int64_t size = entry.second;
-        // Byte ranges already claimed by lifetime-overlapping slots.
-        std::vector<std::pair<std::int64_t, std::int64_t>> busy;
-        for (const SharedSlot &slot : layout.slots) {
-            const auto other = intervals.find(slot.node);
-            if (slot.node <= last && def <= other->second.first) {
-                busy.emplace_back(slot.offset_bytes,
-                                  slot.offset_bytes + slot.size_bytes);
-            }
+        panicIf(last < def, "liveness interval of %", def,
+                " ends before it starts");
+        // Slots are allocated in def order, so a slot stays busy
+        // exactly while its last use has not passed this def.
+        while (!live.empty() && live.top().first < def) {
+            busy.erase(live.top().second);
+            live.pop();
         }
-        std::sort(busy.begin(), busy.end());
         std::int64_t offset = 0;
         for (const auto &[lo, hi] : busy) {
             if (offset + size <= lo)
                 break;
             offset = std::max(offset, hi);
         }
+        live.emplace(last, busy.emplace(offset, offset + size));
         layout.slots.push_back(SharedSlot{def, offset, size});
         layout.extent = std::max(layout.extent, offset + size);
     }
     return layout;
 }
-
-} // namespace
 
 MemoryPlan
 planMemory(const Graph &graph, const Cluster &cluster,
@@ -106,18 +102,13 @@ planMemory(const Graph &graph, const Cluster &cluster,
     if (smem_budget <= 0)
         smem_budget = spec.smem_per_block_bytes;
 
-    // Group of a producer boundary node (first group listing it as
-    // dominant or sub-dominant).
+    const std::unordered_map<NodeId, int> producers =
+        analysis.producingGroups();
     auto producing_group = [&](NodeId x) -> int {
-        for (std::size_t g = 0; g < analysis.groups.size(); ++g) {
-            const DominantGroup &group = analysis.groups[g];
-            if (group.dominant == x ||
-                std::binary_search(group.sub_dominants.begin(),
-                                   group.sub_dominants.end(), x)) {
-                return static_cast<int>(g);
-            }
-        }
-        panic("boundary node ", x, " has no producing group");
+        const auto it = producers.find(x);
+        panicIf(it == producers.end(), "boundary node ", x,
+                " has no producing group");
+        return it->second;
     };
 
     auto last_use = [&](NodeId x) {
@@ -140,7 +131,7 @@ planMemory(const Graph &graph, const Cluster &cluster,
 
     // Iteratively demote until the peak fits the budget.
     while (true) {
-        std::map<NodeId, std::pair<NodeId, std::int64_t>> intervals;
+        LivenessIntervals intervals;
         for (const auto &[x, scheme] : schemes) {
             if (scheme != StitchScheme::Regional)
                 continue;
@@ -187,7 +178,7 @@ planMemory(const Graph &graph, const Cluster &cluster,
     }
 
     // Peak global scratch (liveness-reused).
-    std::map<NodeId, std::pair<NodeId, std::int64_t>> global_intervals;
+    LivenessIntervals global_intervals;
     for (const auto &[x, scheme] : schemes) {
         if (scheme != StitchScheme::Global || last_use(x) == x)
             continue;

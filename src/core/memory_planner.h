@@ -12,7 +12,9 @@
 #ifndef ASTITCH_CORE_MEMORY_PLANNER_H
 #define ASTITCH_CORE_MEMORY_PLANNER_H
 
+#include <map>
 #include <set>
+#include <utility>
 
 #include "core/locality_check.h"
 
@@ -53,6 +55,30 @@ struct MemoryPlan
      */
     std::set<NodeId> rematerialized;
 };
+
+/**
+ * Liveness intervals keyed by defining node: def -> (last use, bytes).
+ * Every last use is at or after its def.
+ */
+using LivenessIntervals = std::map<NodeId, std::pair<NodeId, std::int64_t>>;
+
+/** A concrete arena layout: slot offsets plus the bytes they span. */
+struct ArenaLayout
+{
+    std::int64_t extent = 0;
+    std::vector<SharedSlot> slots; ///< one per interval, in def order
+};
+
+/**
+ * First-fit storage allocation over liveness intervals [def, last_use]:
+ * values whose lifetimes are disjoint may share bytes, concurrently-live
+ * values get disjoint ranges. Each value takes the lowest offset that
+ * fits between the byte ranges of the values still live at its def.
+ * Allocating in definition order keeps the layout deterministic and,
+ * for the chain-shaped lifetimes stitched clusters produce, matches the
+ * event-scan peak.
+ */
+ArenaLayout allocateArena(const LivenessIntervals &intervals);
 
 /**
  * Plan buffer placement. @p smem_budget <= 0 uses the device's per-block

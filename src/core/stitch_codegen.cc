@@ -6,16 +6,56 @@
 #include <set>
 #include <unordered_map>
 
-#include "analysis/cuda_static.h"
-#include "analysis/kernel_verifier.h"
-#include "analysis/sanitizer.h"
-#include "analysis/shape_symbolic.h"
 #include "core/cuda_emitter.h"
 #include "support/fault_injection.h"
 #include "support/logging.h"
 #include "support/strings.h"
 
 namespace astitch {
+
+namespace {
+
+/** Trip count of a barrier emitted after op @p i: its packed task loop. */
+std::int64_t
+tripCountAt(const KernelPlan &plan, int i)
+{
+    return plan.ops[i].partition.known()
+               ? plan.ops[i].partition.tasks_per_block
+               : 1;
+}
+
+} // namespace
+
+void
+placeArenaReuseBarriers(KernelPlan &plan,
+                        const std::unordered_map<NodeId, int> &op_pos,
+                        const std::vector<int> &last_reader)
+{
+    std::vector<SlotLifetime> lifetimes;
+    for (const SharedSlot &slot : plan.shared_slots) {
+        const int def = op_pos.at(slot.node);
+        lifetimes.push_back(SlotLifetime{def, last_reader[def]});
+    }
+    // Pairs already separated by a barrier never need one. The rest are
+    // visited in (a, b) slot order: a separator placed for an earlier
+    // pair may already cover a later one.
+    BarrierIndex placed(plan.barriers);
+    for (const auto &[a, b] :
+         unseparatedSlotPairs(plan.shared_slots, lifetimes, placed)) {
+        const auto [def_a, last_a] = lifetimes[a];
+        const auto [def_b, last_b] = lifetimes[b];
+        if (def_a <= last_b && def_b <= last_a)
+            continue; // concurrently live (planner never does this)
+        const int lo = def_a < def_b ? last_a : last_b;
+        const int hi = def_a < def_b ? def_b : def_a;
+        if (!placed.inRange(lo, hi)) {
+            const BarrierPoint separator{hi - 1, BarrierScope::Block,
+                                         tripCountAt(plan, hi - 1)};
+            plan.barriers.push_back(separator);
+            placed.insert(separator);
+        }
+    }
+}
 
 CompiledCluster
 compileStitchOp(const Graph &graph, const Cluster &cluster,
@@ -32,6 +72,14 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
         graph, cluster, analysis, spec, options.adaptive_thread_mapping,
         options.tuning.mappings);
 
+    // Group that produces a boundary value (-1 for other values).
+    const std::unordered_map<NodeId, int> producers =
+        analysis.producingGroups();
+    const auto boundary_group = [&](NodeId x) -> int {
+        const auto it = producers.find(x);
+        return it == producers.end() ? -1 : it->second;
+    };
+
     // ---- Step 3: stitching schemes + memory planning. ----
     SchemeMap schemes =
         finalizeSchemes(graph, cluster, analysis, schedules);
@@ -41,23 +89,12 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
         // producer finalized by atomics or task splitting publishes
         // partial values until the device-wide barrier, so it can never
         // be relaxed below Global whatever the tuner asked for.
-        const auto producing_group = [&](NodeId x) -> int {
-            for (std::size_t g = 0; g < analysis.groups.size(); ++g) {
-                const DominantGroup &group = analysis.groups[g];
-                if (group.dominant == x ||
-                    std::binary_search(group.sub_dominants.begin(),
-                                       group.sub_dominants.end(), x)) {
-                    return static_cast<int>(g);
-                }
-            }
-            return -1;
-        };
         for (const auto &[node, scheme] : options.tuning.schemes) {
             const auto it = schemes.find(node);
             if (it == schemes.end())
                 continue;
             if (scheme != StitchScheme::Global) {
-                const int g = producing_group(node);
+                const int g = boundary_group(node);
                 if (g >= 0 &&
                     (schedules[g].mapping.uses_atomics ||
                      schedules[g].mapping.split_factor > 1)) {
@@ -119,20 +156,6 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
     auto partition_of_group = [&](int g) {
         const AdaptiveMapping &m = schedules[g].mapping;
         return OpPartition{m.launch, m.rows_per_block, m.tasks_per_block};
-    };
-    // Group that produces a boundary value: the first group listing it as
-    // dominant or sub-dominant — the same choice finalizeSchemes() and
-    // the memory planner make.
-    auto boundary_group = [&](NodeId x) -> int {
-        for (std::size_t g = 0; g < analysis.groups.size(); ++g) {
-            const DominantGroup &group = analysis.groups[g];
-            if (group.dominant == x ||
-                std::binary_search(group.sub_dominants.begin(),
-                                   group.sub_dominants.end(), x)) {
-                return static_cast<int>(g);
-            }
-        }
-        return -1;
     };
 
     int num_reduce = 0;
@@ -215,62 +238,31 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
     std::unordered_map<NodeId, int> op_pos;
     for (std::size_t i = 0; i < plan.ops.size(); ++i)
         op_pos.emplace(plan.ops[i].node, static_cast<int>(i));
-    auto last_reader_pos = [&](int i) {
-        int last = i;
+    std::vector<int> last_reader_pos(plan.ops.size());
+    for (std::size_t i = 0; i < plan.ops.size(); ++i) {
+        int last = static_cast<int>(i);
         for (NodeId u : graph.users(plan.ops[i].node)) {
             const auto p = op_pos.find(u);
             if (p != op_pos.end())
                 last = std::max(last, p->second);
         }
-        return last;
-    };
-    auto trip_at = [&](int i) {
-        return plan.ops[i].partition.known()
-                   ? plan.ops[i].partition.tasks_per_block
-                   : 1;
-    };
+        last_reader_pos[i] = last;
+    }
     for (std::size_t i = 0; i < plan.ops.size(); ++i) {
         const BufferSpace space = plan.ops[i].out_space;
         if (space != BufferSpace::Shared && space != BufferSpace::Global)
             continue;
         const int self = static_cast<int>(i);
-        if (last_reader_pos(self) == self)
+        if (last_reader_pos[i] == self)
             continue; // streamed out: no in-kernel reader to protect
         plan.barriers.push_back(
             BarrierPoint{self,
                          space == BufferSpace::Shared
                              ? BarrierScope::Block
                              : BarrierScope::Device,
-                         trip_at(self)});
+                         tripCountAt(plan, self)});
     }
-    auto barrier_in = [&](int lo, int hi) {
-        return std::any_of(plan.barriers.begin(), plan.barriers.end(),
-                           [&](const BarrierPoint &b) {
-                               return b.after_op >= lo && b.after_op < hi;
-                           });
-    };
-    for (std::size_t a = 0; a < plan.shared_slots.size(); ++a) {
-        for (std::size_t b = a + 1; b < plan.shared_slots.size(); ++b) {
-            const SharedSlot &sa = plan.shared_slots[a];
-            const SharedSlot &sb = plan.shared_slots[b];
-            if (sa.offset_bytes >= sb.offset_bytes + sb.size_bytes ||
-                sb.offset_bytes >= sa.offset_bytes + sa.size_bytes) {
-                continue; // disjoint byte ranges, no reuse
-            }
-            const int def_a = op_pos.at(sa.node);
-            const int def_b = op_pos.at(sb.node);
-            const int last_a = last_reader_pos(def_a);
-            const int last_b = last_reader_pos(def_b);
-            if (def_a <= last_b && def_b <= last_a)
-                continue; // concurrently live (planner never does this)
-            const int lo = def_a < def_b ? last_a : last_b;
-            const int hi = def_a < def_b ? def_b : def_a;
-            if (!barrier_in(lo, hi)) {
-                plan.barriers.push_back(BarrierPoint{
-                    hi - 1, BarrierScope::Block, trip_at(hi - 1)});
-            }
-        }
-    }
+    placeArenaReuseBarriers(plan, op_pos, last_reader_pos);
     std::sort(plan.barriers.begin(), plan.barriers.end(),
               [](const BarrierPoint &x, const BarrierPoint &y) {
                   return x.after_op < y.after_op;
@@ -383,13 +375,15 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
             };
         // The shared arena is one float array; its accesses are
         // recorded in 4-byte word units regardless of the value dtype.
+        std::unordered_map<NodeId, const SharedSlot *> slot_of;
+        for (const SharedSlot &slot : plan.shared_slots)
+            slot_of.emplace(slot.node, &slot);
         const auto smem_access = [&](NodeId id, int pos,
                                      AccessKind kind) {
-            const auto slot = std::find_if(
-                plan.shared_slots.begin(), plan.shared_slots.end(),
-                [id](const SharedSlot &s) { return s.node == id; });
-            if (slot == plan.shared_slots.end())
+            const auto found = slot_of.find(id);
+            if (found == slot_of.end())
                 return;
+            const SharedSlot *slot = found->second;
             OpAccess access;
             access.node = id;
             access.op_index = pos;
@@ -503,29 +497,8 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
     compiled.global_scratch_bytes = memory.global_scratch_bytes;
     compiled.kernels.push_back(std::move(plan));
 
-    // ---- Shape-parametric twins: when dynamic dims are declared,
-    // emit symbolic extents/offsets alongside the concrete summaries
-    // so the plan can be certified for its whole shape range. ----
-    if (!options.shape_params.empty()) {
-        attachSymbolicAccesses(graph, compiled.kernels.back(),
-                               options.shape_params);
-    }
-
-    // ---- Stitch sanitizer + kernel-access verifier: prove the
-    // emitted plan hazard-free and its index arithmetic sound. ----
-    DiagnosticEngine engine;
-    if (options.analyze) {
-        sanitizeCompiledCluster(graph, compiled, spec, engine);
-        verifyCompiledCluster(graph, compiled, spec, engine);
-        if (!options.shape_params.empty()) {
-            certifyCompiledCluster(graph, compiled, options.shape_params,
-                                   engine);
-        }
-    }
-
-    // ---- Render the final CUDA text and attach it to the plan (after
-    // certification, so the emission carries the shape certificate).
-    // The plan carries its own artifact from here on: the emitted-source
+    // ---- Render the final CUDA text and attach it to the plan. The
+    // plan carries its own artifact from here on: the emitted-source
     // analyzer, the session analyzer dispatch and the artifact cache's
     // warm-load re-verification gate all check this text, not the
     // codegen's self-reported metadata alone. ----
@@ -533,24 +506,8 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
         KernelPlan &kernel = compiled.kernels.back();
         kernel.cuda_source =
             renderStitchKernelCuda(graph, cluster, spec, kernel, analysis,
-                                   schedules, memory, launch,
-                                   options.shape_params)
+                                   schedules, memory, launch)
                 .source;
-    }
-
-    if (options.analyze) {
-        analyzeEmittedCuda(graph, compiled.kernels.back(), spec, engine);
-        if (options.strict && engine.hasErrors()) {
-            // A policy rejection, not a user error: the fallback ladder
-            // recompiles the cluster less aggressively instead of dying.
-            throw SanitizerPolicyError(
-                strCat("stitch sanitizer found hazards:\n",
-                       engine.renderText()));
-        }
-        if (!engine.empty())
-            warn("stitch sanitizer:\n", engine.renderText());
-        if (diagnostics)
-            diagnostics->findings = std::move(engine);
     }
 
     if (diagnostics) {

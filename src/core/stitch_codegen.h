@@ -12,7 +12,6 @@
 #define ASTITCH_CORE_STITCH_CODEGEN_H
 
 #include "analysis/access_model.h"
-#include "analysis/diagnostics.h"
 #include "core/launch_config.h"
 #include "core/memory_planner.h"
 
@@ -54,19 +53,6 @@ struct AStitchOptions
     /** Shared-memory budget per block; <= 0 uses the device limit. */
     std::int64_t smem_budget_per_block = 0;
 
-    /** Run the stitch sanitizer over every emitted plan. */
-    bool analyze = true;
-
-    /** Promote sanitizer errors to fatal() instead of warnings. */
-    bool strict = false;
-
-    /**
-     * Declared dynamic-dimension ranges. When non-empty, codegen emits
-     * shape-parametric twins of its access summaries (and, with
-     * `analyze` on, certifies the plan for the whole range — AS8xx).
-     */
-    std::vector<ShapeDim> shape_params;
-
     /** Autotuner decisions to impose; empty keeps pure heuristics. */
     TuningOverrides tuning;
 };
@@ -78,8 +64,22 @@ struct StitchDiagnostics
     std::vector<GroupSchedule> schedules;
     MemoryPlan memory;
     LaunchConfig launch;
-    DiagnosticEngine findings; ///< sanitizer results (when analyze is on)
 };
+
+/**
+ * Append the write-after-read separators shared-arena reuse needs to
+ * @p plan.barriers. Two slots whose bytes overlap and whose values live
+ * at disjoint schedule intervals need a barrier between the earlier
+ * value's last reader and the later value's definition; when none sits
+ * there, a block barrier after the op just before that definition is
+ * appended. Pairs are visited in (a, b) slot order, so one separator
+ * can cover several later pairs. @p op_pos maps each slot's node to its
+ * schedule position; @p last_reader holds, per position, the last
+ * in-kernel reader's position (its own when it has none).
+ */
+void placeArenaReuseBarriers(KernelPlan &plan,
+                             const std::unordered_map<NodeId, int> &op_pos,
+                             const std::vector<int> &last_reader);
 
 /**
  * Compile @p cluster into a single stitched kernel.

@@ -101,16 +101,11 @@ enumerateSites(const Graph &, const Cluster &, const GpuSpec &spec,
     std::vector<std::pair<NodeId, StitchScheme>> boundaries(
         diag.memory.schemes.begin(), diag.memory.schemes.end());
     std::sort(boundaries.begin(), boundaries.end());
+    const std::unordered_map<NodeId, int> producers =
+        diag.analysis.producingGroups();
     const auto producing_group = [&](NodeId x) -> int {
-        for (std::size_t g = 0; g < diag.analysis.groups.size(); ++g) {
-            const DominantGroup &group = diag.analysis.groups[g];
-            if (group.dominant == x ||
-                std::binary_search(group.sub_dominants.begin(),
-                                   group.sub_dominants.end(), x)) {
-                return static_cast<int>(g);
-            }
-        }
-        return -1;
+        const auto it = producers.find(x);
+        return it == producers.end() ? -1 : it->second;
     };
     for (const auto &[node, scheme] : boundaries) {
         Site site;
@@ -257,8 +252,6 @@ struct Search
         ++evaluated;
         try {
             AStitchOptions copt = base;
-            copt.analyze = false;
-            copt.strict = false;
             copt.tuning = ov;
             const CompiledCluster compiled =
                 compileStitchOp(graph, cluster, spec, copt);
@@ -335,15 +328,10 @@ estimatedClusterCostUs(const Graph &graph, const CompiledCluster &compiled,
 std::string
 tuningOptionsTag(const AStitchOptions &options)
 {
-    std::string tag = strCat("atm", options.adaptive_thread_mapping ? 1 : 0,
-                             "hdm", options.hierarchical_stitching ? 1 : 0,
-                             "dm", options.dominant_merging ? 1 : 0, "smem",
-                             options.smem_budget_per_block);
-    for (const ShapeDim &dim : options.shape_params) {
-        tag += strCat(":", dim.name, "=", dim.value, "[", dim.lo, ",",
-                      dim.hi, "/", dim.divisor, "]");
-    }
-    return tag;
+    return strCat("atm", options.adaptive_thread_mapping ? 1 : 0, "hdm",
+                  options.hierarchical_stitching ? 1 : 0, "dm",
+                  options.dominant_merging ? 1 : 0, "smem",
+                  options.smem_budget_per_block);
 }
 
 AutotuneOutcome
@@ -391,9 +379,7 @@ autotuneCluster(const Graph &graph, const Cluster &cluster,
                 }
                 try {
                     AStitchOptions copt = base;
-                    copt.analyze = false;
-                    copt.strict = false;
-                    copt.tuning = stored;
+                            copt.tuning = stored;
                     CompiledCluster compiled =
                         compileStitchOp(graph, cluster, spec, copt);
                     DiagnosticEngine engine;
@@ -426,7 +412,6 @@ autotuneCluster(const Graph &graph, const Cluster &cluster,
         StitchDiagnostics diag;
         {
             AStitchOptions dopt = base;
-            dopt.analyze = false;
             dopt.tuning = TuningOverrides{};
             compileStitchOp(graph, cluster, spec, dopt, &diag);
         }
@@ -505,8 +490,6 @@ autotuneCluster(const Graph &graph, const Cluster &cluster,
         const BeamState &best = beam.front();
         if (best.cost < win_bar && best.decision != zero) {
             AStitchOptions copt = base;
-            copt.analyze = false;
-            copt.strict = false;
             copt.tuning = overridesFor(sites, best.decision);
             outcome.compiled =
                 compileStitchOp(graph, cluster, spec, copt);

@@ -425,7 +425,8 @@ TEST(Analysis, NonStitchBackendsProduceNoFindings)
 TEST(Analysis, CodegenEmitsStructuralMetadata)
 {
     // The stitched softmax-like cluster must carry partitions, barrier
-    // points and arena slots for the sanitizer to chew on.
+    // points and arena slots for the sanitizer to chew on, and the full
+    // analyzer dispatch must accept them.
     testing::Fig7Graph f = testing::buildFig7();
     auto clusters =
         remoteStitch(f.graph, findMemoryIntensiveClusters(f.graph));
@@ -435,7 +436,10 @@ TEST(Analysis, CodegenEmitsStructuralMetadata)
         f.graph, clusters[0], kV100, AStitchOptions{}, &diag);
     ASSERT_EQ(compiled.kernels.size(), 1u);
     const KernelPlan &plan = compiled.kernels[0];
-    EXPECT_TRUE(diag.findings.empty()) << diag.findings.renderText();
+    DiagnosticEngine findings;
+    EXPECT_TRUE(analyzeCompiledCluster(f.graph, clusters[0], compiled,
+                                       kV100, findings));
+    EXPECT_TRUE(findings.empty()) << findings.renderText();
     bool any_partition = false;
     for (const ScheduledOp &op : plan.ops)
         any_partition |= op.partition.known();
