@@ -27,14 +27,16 @@
 
 namespace astitch {
 
+/** Same-rung retries the recovery paths (the ladder and the session's
+ * clustering, parallel-section and cache-publish loops) grant a
+ * transient fault before treating it as permanent. */
+constexpr int kMaxTransientRetries = 2;
+
 /** Ladder behaviour knobs (from SessionOptions). */
 struct LadderPolicy
 {
     /** Disable containment: rethrow the first failure unchanged. */
     bool fail_fast = false;
-
-    /** Same-rung retries granted per transient fault burst. */
-    int max_transient_retries = 2;
 
     /**
      * First rung to attempt. FullStitch (the default) is the normal

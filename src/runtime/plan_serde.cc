@@ -1,7 +1,11 @@
 #include "runtime/plan_serde.h"
 
 #include <algorithm>
+#include <concepts>
 #include <cstring>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "support/atomic_file.h"
 #include "support/strings.h"
@@ -12,26 +16,17 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Byte-level encoding: fixed-width little-endian, no padding, no
-// host-endianness dependence.
+// host-endianness dependence. ByteWriter and ByteReader share one call
+// surface — the writer takes values, the reader fills references — so
+// each structure's layout is written once, as a walk() both run.
 // ---------------------------------------------------------------------
 
 class ByteWriter
 {
   public:
     void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-
-    void u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
+    void u32(std::uint32_t v) { le(v); }
+    void u64(std::uint64_t v) { le(v); }
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -51,11 +46,53 @@ class ByteWriter
         out_.append(s);
     }
 
-    void count(std::size_t n) { u32(static_cast<std::uint32_t>(n)); }
+    template <class E>
+    void enumeration(E v, E /*max*/)
+    {
+        u8(static_cast<std::uint8_t>(v));
+    }
+
+    /** Count-prefixed sequence; @p fn writes one element. */
+    template <class T, class Fn>
+    void seq(const std::vector<T> &items, std::size_t /*min_elem_bytes*/,
+             const Fn &fn)
+    {
+        u32(static_cast<std::uint32_t>(items.size()));
+        for (const T &item : items)
+            fn(item);
+    }
+
+    /**
+     * Count-prefixed map sorted by key, so equal maps produce
+     * bit-identical payloads whatever their hash order; @p fn writes
+     * one (key, value) entry.
+     */
+    template <class Map, class Fn>
+    void sortedMap(const Map &map, std::size_t /*min_elem_bytes*/,
+                   const Fn &fn)
+    {
+        std::vector<std::pair<typename Map::key_type,
+                              typename Map::mapped_type>>
+            sorted(map.begin(), map.end());
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+        u32(static_cast<std::uint32_t>(sorted.size()));
+        for (const auto &[key, value] : sorted)
+            fn(key, value);
+    }
 
     std::string take() { return std::move(out_); }
 
   private:
+    template <class U>
+    void le(U v)
+    {
+        for (std::size_t i = 0; i < sizeof v; ++i)
+            u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+
     std::string out_;
 };
 
@@ -63,7 +100,7 @@ class ByteWriter
  * Hardened sequential reader: every length/count is capped by the
  * bytes actually remaining, so corrupt size fields fail cleanly
  * instead of driving allocations or out-of-bounds reads. The first
- * failure latches; subsequent reads return zero values.
+ * failure latches; subsequent reads yield zero values.
  */
 class ByteReader
 {
@@ -73,6 +110,7 @@ class ByteReader
     bool failed() const { return failed_; }
     const std::string &error() const { return error_; }
     std::size_t remaining() const { return bytes_.size() - pos_; }
+    bool atEnd() const { return pos_ == bytes_.size(); }
 
     void fail(const std::string &why)
     {
@@ -82,105 +120,112 @@ class ByteReader
         }
     }
 
-    std::uint8_t u8()
+    void u32(std::uint32_t &v) { v = le<std::uint32_t>(); }
+    void u64(std::uint64_t &v) { v = le<std::uint64_t>(); }
+    void i32(std::int32_t &v)
     {
-        if (failed_ || remaining() < 1) {
-            fail("short read (u8)");
-            return 0;
-        }
-        return static_cast<std::uint8_t>(bytes_[pos_++]);
+        v = static_cast<std::int32_t>(le<std::uint32_t>());
+    }
+    void i64(std::int64_t &v)
+    {
+        v = static_cast<std::int64_t>(le<std::uint64_t>());
     }
 
-    std::uint32_t u32()
+    void f64(double &v)
     {
-        if (failed_ || remaining() < 4) {
-            fail("short read (u32)");
-            return 0;
-        }
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(bytes_[pos_ + i]))
-                 << (8 * i);
-        pos_ += 4;
-        return v;
-    }
-
-    std::uint64_t u64()
-    {
-        if (failed_ || remaining() < 8) {
-            fail("short read (u64)");
-            return 0;
-        }
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(bytes_[pos_ + i]))
-                 << (8 * i);
-        pos_ += 8;
-        return v;
-    }
-
-    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-    double f64()
-    {
-        const std::uint64_t bits = u64();
-        double v = 0;
+        const auto bits = le<std::uint64_t>();
         std::memcpy(&v, &bits, sizeof v);
-        return v;
     }
 
-    bool boolean()
+    void boolean(bool &v)
     {
-        const std::uint8_t v = u8();
-        if (v > 1)
+        const auto b = le<std::uint8_t>();
+        if (b > 1)
             fail("boolean out of range");
-        return v == 1;
+        v = b == 1;
     }
 
-    std::string str()
+    void str(std::string &s)
     {
-        const std::uint32_t n = u32();
+        const auto n = le<std::uint32_t>();
         if (failed_ || n > remaining()) {
             fail("string length exceeds buffer");
-            return {};
+            s.clear();
+            return;
         }
-        std::string s = bytes_.substr(pos_, n);
+        s = bytes_.substr(pos_, n);
         pos_ += n;
-        return s;
+    }
+
+    /** Enum byte constrained to [0, @p max]. */
+    template <class E>
+    void enumeration(E &v, E max)
+    {
+        const auto b = le<std::uint8_t>();
+        if (b > static_cast<std::uint8_t>(max))
+            fail("enum value out of range");
+        v = static_cast<E>(b);
     }
 
     /**
-     * Sequence count whose elements occupy at least @p min_elem_bytes
-     * each — a corrupt count larger than the remaining bytes could
-     * ever hold is rejected before any element decodes.
+     * Count-prefixed sequence whose elements occupy at least
+     * @p min_elem_bytes each: a corrupt count larger than the
+     * remaining bytes could ever hold is rejected before any element
+     * decodes. @p fn fills one default-constructed element.
      */
-    std::size_t count(std::size_t min_elem_bytes = 1)
+    template <class T, class Fn>
+    void seq(std::vector<T> &items, std::size_t min_elem_bytes,
+             const Fn &fn)
     {
-        const std::uint32_t n = u32();
+        const std::size_t n = count(min_elem_bytes);
+        items.reserve(n);
+        for (std::size_t i = 0; i < n && !failed_; ++i)
+            fn(items.emplace_back());
+    }
+
+    /** Map counterpart of seq(); @p fn fills one (key, value) entry. */
+    template <class Map, class Fn>
+    void sortedMap(Map &map, std::size_t min_elem_bytes, const Fn &fn)
+    {
+        const std::size_t n = count(min_elem_bytes);
+        for (std::size_t i = 0; i < n && !failed_; ++i) {
+            typename Map::key_type key{};
+            typename Map::mapped_type value{};
+            fn(key, value);
+            map[key] = value;
+        }
+    }
+
+  private:
+    /** Little-endian unsigned of sizeof(U) bytes; zero once failed. */
+    template <class U>
+    U le()
+    {
+        if (failed_ || remaining() < sizeof(U)) {
+            fail(strCat("short read (u", 8 * sizeof(U), ")"));
+            return 0;
+        }
+        U v = 0;
+        for (std::size_t i = 0; i < sizeof(U); ++i) {
+            const auto byte = static_cast<unsigned char>(bytes_[pos_ + i]);
+            v |= static_cast<U>(static_cast<U>(byte) << (8 * i));
+        }
+        pos_ += sizeof(U);
+        return v;
+    }
+
+    std::size_t count(std::size_t min_elem_bytes)
+    {
+        const auto n = le<std::uint32_t>();
         if (failed_)
             return 0;
-        if (min_elem_bytes > 0 && n > remaining() / min_elem_bytes) {
+        if (n > remaining() / min_elem_bytes) {
             fail("sequence count exceeds buffer");
             return 0;
         }
         return n;
     }
 
-    /** Enum byte constrained to [0, max_value]. */
-    std::uint8_t enumByte(std::uint8_t max_value)
-    {
-        const std::uint8_t v = u8();
-        if (v > max_value)
-            fail("enum value out of range");
-        return v;
-    }
-
-    bool atEnd() const { return pos_ == bytes_.size(); }
-
-  private:
     const std::string &bytes_;
     std::size_t pos_ = 0;
     bool failed_ = false;
@@ -188,555 +233,275 @@ class ByteReader
 };
 
 // ---------------------------------------------------------------------
-// Encoders, one per structure, in dependency order.
+// Payload layout: one walk() per structure, in dependency order. IO is
+// ByteWriter (T const) or ByteReader (T mutable); the field order in
+// each walk is the wire format.
 // ---------------------------------------------------------------------
 
+/** T is U, or const U when encoding. */
+template <class T, class U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
+
+template <class IO, Is<std::vector<NodeId>> T>
 void
-putNodeVec(ByteWriter &w, const std::vector<NodeId> &nodes)
+walk(IO &io, T &nodes)
 {
-    w.count(nodes.size());
-    for (NodeId n : nodes)
-        w.i32(n);
+    io.seq(nodes, 4, [&](auto &n) { io.i32(n); });
+}
+
+template <class IO, Is<std::vector<std::string>> T>
+void
+walk(IO &io, T &strings)
+{
+    io.seq(strings, 4, [&](auto &s) { io.str(s); });
+}
+
+template <class IO, Is<Cluster> T>
+void
+walk(IO &io, T &c)
+{
+    walk(io, c.nodes);
+    walk(io, c.inputs);
+    walk(io, c.outputs);
+}
+
+template <class IO, Is<LaunchDims> T>
+void
+walk(IO &io, T &launch)
+{
+    io.i64(launch.grid);
+    io.i32(launch.block);
+}
+
+template <class IO, Is<OpPartition> T>
+void
+walk(IO &io, T &p)
+{
+    walk(io, p.launch);
+    io.i64(p.rows_per_block);
+    io.i64(p.tasks_per_block);
+}
+
+template <class IO, Is<AffineIndex> T>
+void
+walk(IO &io, T &ix)
+{
+    io.i64(ix.offset);
+    io.i64(ix.coeff_block);
+    io.i64(ix.coeff_task);
+    io.i64(ix.coeff_iter);
+    io.i64(ix.coeff_thread);
+    io.i64(ix.num_blocks);
+    io.i64(ix.num_tasks);
+    io.i64(ix.num_iters);
+    io.i64(ix.num_threads);
+}
+
+template <class IO, Is<OpAccess> T>
+void
+walk(IO &io, T &a)
+{
+    io.i32(a.node);
+    io.i32(a.op_index);
+    io.enumeration(a.kind, AccessKind::Write);
+    io.enumeration(a.space, AccessSpace::Shared);
+    io.str(a.buffer);
+    io.i64(a.elem_bytes);
+    io.i64(a.extent);
+    walk(io, a.index);
+    io.i64(a.guard);
+    io.i64(a.warp_stride);
+    io.f64(a.repeat);
+    io.boolean(a.counts_traffic);
+}
+
+template <class IO, Is<LinExpr> T>
+void
+walk(IO &io, T &e)
+{
+    io.i64(e.c0);
+    io.seq(e.terms, 12, [&](auto &term) {
+        io.i32(term.first);
+        io.i64(term.second);
+    });
+}
+
+template <class IO, Is<ShapeCertificate> T>
+void
+walk(IO &io, T &cert)
+{
+    io.enumeration(cert.verdict, ShapeCertificate::Verdict::Refuted);
+    io.seq(cert.dims, 4, [&](auto &d) {
+        io.str(d.name);
+        io.i64(d.value);
+        io.i64(d.lo);
+        io.i64(d.hi);
+        io.i64(d.divisor);
+    });
+    walk(io, cert.assumptions);
+    io.i32(cert.obligations_proven);
+    io.i32(cert.obligations_fallback);
+}
+
+template <class IO, Is<KernelPlan> T>
+void
+walk(IO &io, T &plan)
+{
+    io.str(plan.name);
+    io.seq(plan.ops, 4, [&](auto &op) {
+        io.i32(op.node);
+        io.f64(op.recompute_factor);
+        io.enumeration(op.out_space, BufferSpace::Output);
+        walk(io, op.partition);
+    });
+    io.seq(plan.inputs, 4, [&](auto &in) {
+        io.i32(in.node);
+        io.f64(in.load_factor);
+    });
+    walk(io, plan.outputs);
+    walk(io, plan.launch);
+    io.i32(plan.regs_per_thread);
+    io.i64(plan.smem_per_block);
+    io.i32(plan.num_block_barriers);
+    io.i32(plan.num_global_barriers);
+    io.seq(plan.barriers, 4, [&](auto &b) {
+        io.i32(b.after_op);
+        io.enumeration(b.scope, BarrierScope::Device);
+        io.i64(b.trip_count);
+    });
+    io.seq(plan.shared_slots, 4, [&](auto &s) {
+        io.i32(s.node);
+        io.i64(s.offset_bytes);
+        io.i64(s.size_bytes);
+    });
+    io.seq(plan.accesses, 8, [&](auto &a) { walk(io, a); });
+    io.seq(plan.sym_accesses, 8, [&](auto &s) {
+        io.i32(s.access_index);
+        walk(io, s.extent);
+        walk(io, s.offset);
+        walk(io, s.value_extent);
+    });
+    walk(io, plan.certificate);
+    io.f64(plan.atomic_operations);
+    io.f64(plan.read_coalescing);
+    io.f64(plan.write_coalescing);
+    io.f64(plan.extra_launch_overhead_us);
+    io.f64(plan.extra_bytes_read);
+    io.str(plan.cuda_source);
+}
+
+template <class IO, Is<CompiledCluster> T>
+void
+walk(IO &io, T &cc)
+{
+    io.seq(cc.kernels, 4, [&](auto &plan) { walk(io, plan); });
+    io.i32(cc.num_memcpy);
+    io.f64(cc.memcpy_bytes);
+    io.i64(cc.global_scratch_bytes);
+}
+
+template <class IO, Is<Diagnostic> T>
+void
+walk(IO &io, T &d)
+{
+    io.str(d.code);
+    io.enumeration(d.severity, Severity::Error);
+    io.str(d.kernel);
+    io.str(d.message);
+    io.i32(d.node);
+    walk(io, d.provenance);
 }
 
 void
-putStringVec(ByteWriter &w, const std::vector<std::string> &strings)
+walk(ByteWriter &w, const DiagnosticEngine &engine)
 {
-    w.count(strings.size());
-    for (const std::string &s : strings)
-        w.str(s);
+    w.seq(engine.diagnostics(), 8, [&](const Diagnostic &d) { walk(w, d); });
 }
 
 void
-putCluster(ByteWriter &w, const Cluster &c)
+walk(ByteReader &r, DiagnosticEngine &engine)
 {
-    putNodeVec(w, c.nodes);
-    putNodeVec(w, c.inputs);
-    putNodeVec(w, c.outputs);
+    std::vector<Diagnostic> found;
+    r.seq(found, 8, [&](Diagnostic &d) {
+        walk(r, d);
+        // A code this build does not register would panic in add():
+        // reject the artifact instead (it came from a different build).
+        if (!r.failed() && !findDiagnosticCode(d.code))
+            r.fail(strCat("unknown diagnostic code '", d.code, "'"));
+    });
+    if (r.failed())
+        return;
+    for (Diagnostic &d : found)
+        engine.add(std::move(d));
 }
 
+template <class IO, Is<DegradationReport> T>
 void
-putLaunchDims(ByteWriter &w, const LaunchDims &launch)
+walk(IO &io, T &report)
 {
-    w.i64(launch.grid);
-    w.i32(launch.block);
+    io.seq(report.clusters, 4, [&](auto &c) {
+        io.enumeration(c.level, LadderLevel::KernelPerOp);
+        io.i32(c.retries);
+        walk(io, c.causes);
+    });
+    io.boolean(report.clustering_fallback);
+    io.boolean(report.serial_fallback);
+    io.boolean(report.cache_bypassed);
+    io.i32(report.session_retries);
 }
 
+template <class IO, Is<CompilePassTimings> T>
 void
-putPartition(ByteWriter &w, const OpPartition &p)
-{
-    putLaunchDims(w, p.launch);
-    w.i64(p.rows_per_block);
-    w.i64(p.tasks_per_block);
-}
-
-void
-putAffineIndex(ByteWriter &w, const AffineIndex &ix)
-{
-    w.i64(ix.offset);
-    w.i64(ix.coeff_block);
-    w.i64(ix.coeff_task);
-    w.i64(ix.coeff_iter);
-    w.i64(ix.coeff_thread);
-    w.i64(ix.num_blocks);
-    w.i64(ix.num_tasks);
-    w.i64(ix.num_iters);
-    w.i64(ix.num_threads);
-}
-
-void
-putAccess(ByteWriter &w, const OpAccess &a)
-{
-    w.i32(a.node);
-    w.i32(a.op_index);
-    w.u8(static_cast<std::uint8_t>(a.kind));
-    w.u8(static_cast<std::uint8_t>(a.space));
-    w.str(a.buffer);
-    w.i64(a.elem_bytes);
-    w.i64(a.extent);
-    putAffineIndex(w, a.index);
-    w.i64(a.guard);
-    w.i64(a.warp_stride);
-    w.f64(a.repeat);
-    w.boolean(a.counts_traffic);
-}
-
-void
-putLinExpr(ByteWriter &w, const LinExpr &e)
-{
-    w.i64(e.c0);
-    w.count(e.terms.size());
-    for (const auto &[dim, coeff] : e.terms) {
-        w.i32(dim);
-        w.i64(coeff);
-    }
-}
-
-void
-putCertificate(ByteWriter &w, const ShapeCertificate &cert)
-{
-    w.u8(static_cast<std::uint8_t>(cert.verdict));
-    w.count(cert.dims.size());
-    for (const ShapeDim &d : cert.dims) {
-        w.str(d.name);
-        w.i64(d.value);
-        w.i64(d.lo);
-        w.i64(d.hi);
-        w.i64(d.divisor);
-    }
-    putStringVec(w, cert.assumptions);
-    w.i32(cert.obligations_proven);
-    w.i32(cert.obligations_fallback);
-}
-
-void
-putPlan(ByteWriter &w, const KernelPlan &plan)
-{
-    w.str(plan.name);
-    w.count(plan.ops.size());
-    for (const ScheduledOp &op : plan.ops) {
-        w.i32(op.node);
-        w.f64(op.recompute_factor);
-        w.u8(static_cast<std::uint8_t>(op.out_space));
-        putPartition(w, op.partition);
-    }
-    w.count(plan.inputs.size());
-    for (const KernelInput &in : plan.inputs) {
-        w.i32(in.node);
-        w.f64(in.load_factor);
-    }
-    putNodeVec(w, plan.outputs);
-    putLaunchDims(w, plan.launch);
-    w.i32(plan.regs_per_thread);
-    w.i64(plan.smem_per_block);
-    w.i32(plan.num_block_barriers);
-    w.i32(plan.num_global_barriers);
-    w.count(plan.barriers.size());
-    for (const BarrierPoint &b : plan.barriers) {
-        w.i32(b.after_op);
-        w.u8(static_cast<std::uint8_t>(b.scope));
-        w.i64(b.trip_count);
-    }
-    w.count(plan.shared_slots.size());
-    for (const SharedSlot &s : plan.shared_slots) {
-        w.i32(s.node);
-        w.i64(s.offset_bytes);
-        w.i64(s.size_bytes);
-    }
-    w.count(plan.accesses.size());
-    for (const OpAccess &a : plan.accesses)
-        putAccess(w, a);
-    w.count(plan.sym_accesses.size());
-    for (const SymbolicAccess &s : plan.sym_accesses) {
-        w.i32(s.access_index);
-        putLinExpr(w, s.extent);
-        putLinExpr(w, s.offset);
-        putLinExpr(w, s.value_extent);
-    }
-    putCertificate(w, plan.certificate);
-    w.f64(plan.atomic_operations);
-    w.f64(plan.read_coalescing);
-    w.f64(plan.write_coalescing);
-    w.f64(plan.extra_launch_overhead_us);
-    w.f64(plan.extra_bytes_read);
-    w.str(plan.cuda_source);
-}
-
-void
-putCompiled(ByteWriter &w, const CompiledCluster &cc)
-{
-    w.count(cc.kernels.size());
-    for (const KernelPlan &plan : cc.kernels)
-        putPlan(w, plan);
-    w.i32(cc.num_memcpy);
-    w.f64(cc.memcpy_bytes);
-    w.i64(cc.global_scratch_bytes);
-}
-
-void
-putDiagnostics(ByteWriter &w, const DiagnosticEngine &engine)
-{
-    w.count(engine.diagnostics().size());
-    for (const Diagnostic &d : engine.diagnostics()) {
-        w.str(d.code);
-        w.u8(static_cast<std::uint8_t>(d.severity));
-        w.str(d.kernel);
-        w.str(d.message);
-        w.i32(d.node);
-        putStringVec(w, d.provenance);
-    }
-}
-
-void
-putDegradation(ByteWriter &w, const DegradationReport &report)
-{
-    w.count(report.clusters.size());
-    for (const ClusterDegradation &c : report.clusters) {
-        w.u8(static_cast<std::uint8_t>(c.level));
-        w.i32(c.retries);
-        putStringVec(w, c.causes);
-    }
-    w.boolean(report.clustering_fallback);
-    w.boolean(report.serial_fallback);
-    w.boolean(report.cache_bypassed);
-    w.i32(report.session_retries);
-}
-
-void
-putTimings(ByteWriter &w, const CompilePassTimings &t)
+walk(IO &io, T &t)
 {
     // Only the compile-pass spans persist; the artifact_* fields are
     // load-time measurements the warm path fills fresh.
-    w.f64(t.clustering_ms);
-    w.f64(t.remote_stitch_ms);
-    w.f64(t.backend_compile_ms);
-    w.f64(t.analysis_ms);
-    w.f64(t.autotune_ms);
-    w.f64(t.parallel_section_ms);
-    w.f64(t.scheduling_ms);
+    io.f64(t.clustering_ms);
+    io.f64(t.remote_stitch_ms);
+    io.f64(t.backend_compile_ms);
+    io.f64(t.analysis_ms);
+    io.f64(t.autotune_ms);
+    io.f64(t.parallel_section_ms);
+    io.f64(t.scheduling_ms);
 }
 
+template <class IO, Is<TuningReport> T>
 void
-putOverrides(ByteWriter &w, const TuningOverrides &ov)
+walk(IO &io, T &report)
 {
-    // Unordered maps serialize sorted by node id: equal overrides must
-    // produce bit-identical payloads.
-    std::vector<std::pair<NodeId, StitchScheme>> schemes(ov.schemes.begin(),
-                                                         ov.schemes.end());
-    std::sort(schemes.begin(), schemes.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    w.count(schemes.size());
-    for (const auto &[node, scheme] : schemes) {
-        w.i32(node);
-        w.u8(static_cast<std::uint8_t>(scheme));
-    }
-    std::vector<std::pair<NodeId, MappingOverride>> mappings(
-        ov.mappings.begin(), ov.mappings.end());
-    std::sort(mappings.begin(), mappings.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    w.count(mappings.size());
-    for (const auto &[node, m] : mappings) {
-        w.i32(node);
-        w.i32(m.block);
-        w.i32(m.split);
-    }
+    io.boolean(report.enabled);
+    io.seq(report.clusters, 8, [&](auto &r) {
+        io.u64(r.fingerprint);
+        io.f64(r.heuristic_cost_us);
+        io.f64(r.tuned_cost_us);
+        io.i32(r.candidates_evaluated);
+        io.i32(r.candidates_rejected);
+        io.boolean(r.improved);
+        io.boolean(r.db_hit);
+        io.f64(r.search_ms);
+        io.sortedMap(r.decision.schemes, 5, [&](auto &node, auto &scheme) {
+            io.i32(node);
+            io.enumeration(scheme, StitchScheme::Global);
+        });
+        io.sortedMap(r.decision.mappings, 12, [&](auto &node, auto &m) {
+            io.i32(node);
+            io.i32(m.block);
+            io.i32(m.split);
+        });
+    });
 }
 
+template <class IO, Is<JitCacheEntry> T>
 void
-putTuning(ByteWriter &w, const TuningReport &report)
+walk(IO &io, T &entry)
 {
-    w.boolean(report.enabled);
-    w.count(report.clusters.size());
-    for (const ClusterTuningResult &r : report.clusters) {
-        w.u64(r.fingerprint);
-        w.f64(r.heuristic_cost_us);
-        w.f64(r.tuned_cost_us);
-        w.i32(r.candidates_evaluated);
-        w.i32(r.candidates_rejected);
-        w.boolean(r.improved);
-        w.boolean(r.db_hit);
-        w.f64(r.search_ms);
-        putOverrides(w, r.decision);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Decoders, mirroring the encoders field for field.
-// ---------------------------------------------------------------------
-
-void
-getNodeVec(ByteReader &r, std::vector<NodeId> *nodes)
-{
-    const std::size_t n = r.count(4);
-    nodes->reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i)
-        nodes->push_back(r.i32());
-}
-
-void
-getStringVec(ByteReader &r, std::vector<std::string> *strings)
-{
-    const std::size_t n = r.count(4);
-    strings->reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i)
-        strings->push_back(r.str());
-}
-
-void
-getCluster(ByteReader &r, Cluster *c)
-{
-    getNodeVec(r, &c->nodes);
-    getNodeVec(r, &c->inputs);
-    getNodeVec(r, &c->outputs);
-}
-
-void
-getLaunchDims(ByteReader &r, LaunchDims *launch)
-{
-    launch->grid = r.i64();
-    launch->block = r.i32();
-}
-
-void
-getPartition(ByteReader &r, OpPartition *p)
-{
-    getLaunchDims(r, &p->launch);
-    p->rows_per_block = r.i64();
-    p->tasks_per_block = r.i64();
-}
-
-void
-getAffineIndex(ByteReader &r, AffineIndex *ix)
-{
-    ix->offset = r.i64();
-    ix->coeff_block = r.i64();
-    ix->coeff_task = r.i64();
-    ix->coeff_iter = r.i64();
-    ix->coeff_thread = r.i64();
-    ix->num_blocks = r.i64();
-    ix->num_tasks = r.i64();
-    ix->num_iters = r.i64();
-    ix->num_threads = r.i64();
-}
-
-void
-getAccess(ByteReader &r, OpAccess *a)
-{
-    a->node = r.i32();
-    a->op_index = r.i32();
-    a->kind = static_cast<AccessKind>(
-        r.enumByte(static_cast<std::uint8_t>(AccessKind::Write)));
-    a->space = static_cast<AccessSpace>(
-        r.enumByte(static_cast<std::uint8_t>(AccessSpace::Shared)));
-    a->buffer = r.str();
-    a->elem_bytes = r.i64();
-    a->extent = r.i64();
-    getAffineIndex(r, &a->index);
-    a->guard = r.i64();
-    a->warp_stride = r.i64();
-    a->repeat = r.f64();
-    a->counts_traffic = r.boolean();
-}
-
-void
-getLinExpr(ByteReader &r, LinExpr *e)
-{
-    e->c0 = r.i64();
-    const std::size_t n = r.count(12);
-    e->terms.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        const int dim = r.i32();
-        const std::int64_t coeff = r.i64();
-        e->terms.emplace_back(dim, coeff);
-    }
-}
-
-void
-getCertificate(ByteReader &r, ShapeCertificate *cert)
-{
-    cert->verdict = static_cast<ShapeCertificate::Verdict>(r.enumByte(
-        static_cast<std::uint8_t>(ShapeCertificate::Verdict::Refuted)));
-    const std::size_t n = r.count(4);
-    cert->dims.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        ShapeDim d;
-        d.name = r.str();
-        d.value = r.i64();
-        d.lo = r.i64();
-        d.hi = r.i64();
-        d.divisor = r.i64();
-        cert->dims.push_back(std::move(d));
-    }
-    getStringVec(r, &cert->assumptions);
-    cert->obligations_proven = r.i32();
-    cert->obligations_fallback = r.i32();
-}
-
-void
-getPlan(ByteReader &r, KernelPlan *plan)
-{
-    plan->name = r.str();
-    std::size_t n = r.count(4);
-    plan->ops.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        ScheduledOp op;
-        op.node = r.i32();
-        op.recompute_factor = r.f64();
-        op.out_space = static_cast<BufferSpace>(
-            r.enumByte(static_cast<std::uint8_t>(BufferSpace::Output)));
-        getPartition(r, &op.partition);
-        plan->ops.push_back(op);
-    }
-    n = r.count(4);
-    plan->inputs.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        KernelInput in;
-        in.node = r.i32();
-        in.load_factor = r.f64();
-        plan->inputs.push_back(in);
-    }
-    getNodeVec(r, &plan->outputs);
-    getLaunchDims(r, &plan->launch);
-    plan->regs_per_thread = r.i32();
-    plan->smem_per_block = r.i64();
-    plan->num_block_barriers = r.i32();
-    plan->num_global_barriers = r.i32();
-    n = r.count(4);
-    plan->barriers.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        BarrierPoint b;
-        b.after_op = r.i32();
-        b.scope = static_cast<BarrierScope>(
-            r.enumByte(static_cast<std::uint8_t>(BarrierScope::Device)));
-        b.trip_count = r.i64();
-        plan->barriers.push_back(b);
-    }
-    n = r.count(4);
-    plan->shared_slots.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        SharedSlot s;
-        s.node = r.i32();
-        s.offset_bytes = r.i64();
-        s.size_bytes = r.i64();
-        plan->shared_slots.push_back(s);
-    }
-    n = r.count(8);
-    plan->accesses.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        OpAccess a;
-        getAccess(r, &a);
-        plan->accesses.push_back(std::move(a));
-    }
-    n = r.count(8);
-    plan->sym_accesses.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        SymbolicAccess s;
-        s.access_index = r.i32();
-        getLinExpr(r, &s.extent);
-        getLinExpr(r, &s.offset);
-        getLinExpr(r, &s.value_extent);
-        plan->sym_accesses.push_back(std::move(s));
-    }
-    getCertificate(r, &plan->certificate);
-    plan->atomic_operations = r.f64();
-    plan->read_coalescing = r.f64();
-    plan->write_coalescing = r.f64();
-    plan->extra_launch_overhead_us = r.f64();
-    plan->extra_bytes_read = r.f64();
-    plan->cuda_source = r.str();
-}
-
-void
-getCompiled(ByteReader &r, CompiledCluster *cc)
-{
-    const std::size_t n = r.count(4);
-    cc->kernels.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        KernelPlan plan;
-        getPlan(r, &plan);
-        cc->kernels.push_back(std::move(plan));
-    }
-    cc->num_memcpy = r.i32();
-    cc->memcpy_bytes = r.f64();
-    cc->global_scratch_bytes = r.i64();
-}
-
-void
-getDiagnostics(ByteReader &r, DiagnosticEngine *engine)
-{
-    const std::size_t n = r.count(8);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        Diagnostic d;
-        d.code = r.str();
-        d.severity =
-            static_cast<Severity>(r.enumByte(
-                static_cast<std::uint8_t>(Severity::Error)));
-        d.kernel = r.str();
-        d.message = r.str();
-        d.node = r.i32();
-        getStringVec(r, &d.provenance);
-        if (r.failed())
-            break;
-        // A code this build does not register would panic in add():
-        // reject the artifact instead (it came from a different build).
-        if (!findDiagnosticCode(d.code)) {
-            r.fail(strCat("unknown diagnostic code '", d.code, "'"));
-            break;
-        }
-        engine->add(std::move(d));
-    }
-}
-
-void
-getDegradation(ByteReader &r, DegradationReport *report)
-{
-    const std::size_t n = r.count(4);
-    report->clusters.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        ClusterDegradation c;
-        c.level = static_cast<LadderLevel>(r.enumByte(
-            static_cast<std::uint8_t>(LadderLevel::KernelPerOp)));
-        c.retries = r.i32();
-        getStringVec(r, &c.causes);
-        report->clusters.push_back(std::move(c));
-    }
-    report->clustering_fallback = r.boolean();
-    report->serial_fallback = r.boolean();
-    report->cache_bypassed = r.boolean();
-    report->session_retries = r.i32();
-}
-
-void
-getTimings(ByteReader &r, CompilePassTimings *t)
-{
-    t->clustering_ms = r.f64();
-    t->remote_stitch_ms = r.f64();
-    t->backend_compile_ms = r.f64();
-    t->analysis_ms = r.f64();
-    t->autotune_ms = r.f64();
-    t->parallel_section_ms = r.f64();
-    t->scheduling_ms = r.f64();
-}
-
-void
-getOverrides(ByteReader &r, TuningOverrides *ov)
-{
-    std::size_t n = r.count(5);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        const NodeId node = r.i32();
-        const auto scheme = static_cast<StitchScheme>(
-            r.enumByte(static_cast<std::uint8_t>(StitchScheme::Global)));
-        ov->schemes[node] = scheme;
-    }
-    n = r.count(12);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        const NodeId node = r.i32();
-        MappingOverride m;
-        m.block = r.i32();
-        m.split = r.i32();
-        ov->mappings[node] = m;
-    }
-}
-
-void
-getTuning(ByteReader &r, TuningReport *report)
-{
-    report->enabled = r.boolean();
-    const std::size_t n = r.count(8);
-    report->clusters.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        ClusterTuningResult res;
-        res.fingerprint = r.u64();
-        res.heuristic_cost_us = r.f64();
-        res.tuned_cost_us = r.f64();
-        res.candidates_evaluated = r.i32();
-        res.candidates_rejected = r.i32();
-        res.improved = r.boolean();
-        res.db_hit = r.boolean();
-        res.search_ms = r.f64();
-        getOverrides(r, &res.decision);
-        report->clusters.push_back(std::move(res));
-    }
+    io.seq(entry.clusters, 4, [&](auto &c) { walk(io, c); });
+    io.seq(entry.compiled, 4, [&](auto &cc) { walk(io, cc); });
+    io.seq(entry.cluster_diagnostics, 4,
+           [&](auto &engine) { walk(io, engine); });
+    walk(io, entry.degradation);
+    walk(io, entry.timings);
+    walk(io, entry.tuning);
 }
 
 // ---------------------------------------------------------------------
@@ -751,18 +516,7 @@ std::string
 serializePlanPayload(const JitCacheEntry &entry)
 {
     ByteWriter w;
-    w.count(entry.clusters.size());
-    for (const Cluster &c : entry.clusters)
-        putCluster(w, c);
-    w.count(entry.compiled.size());
-    for (const CompiledCluster &cc : entry.compiled)
-        putCompiled(w, cc);
-    w.count(entry.cluster_diagnostics.size());
-    for (const DiagnosticEngine &engine : entry.cluster_diagnostics)
-        putDiagnostics(w, engine);
-    putDegradation(w, entry.degradation);
-    putTimings(w, entry.timings);
-    putTuning(w, entry.tuning);
+    walk(w, entry);
     return w.take();
 }
 
@@ -772,30 +526,7 @@ deserializePlanPayload(const std::string &payload, JitCacheEntry *entry,
 {
     *entry = JitCacheEntry{};
     ByteReader r(payload);
-    std::size_t n = r.count(4);
-    entry->clusters.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        Cluster c;
-        getCluster(r, &c);
-        entry->clusters.push_back(std::move(c));
-    }
-    n = r.count(4);
-    entry->compiled.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        CompiledCluster cc;
-        getCompiled(r, &cc);
-        entry->compiled.push_back(std::move(cc));
-    }
-    n = r.count(4);
-    entry->cluster_diagnostics.reserve(n);
-    for (std::size_t i = 0; i < n && !r.failed(); ++i) {
-        DiagnosticEngine engine;
-        getDiagnostics(r, &engine);
-        entry->cluster_diagnostics.push_back(std::move(engine));
-    }
-    getDegradation(r, &entry->degradation);
-    getTimings(r, &entry->timings);
-    getTuning(r, &entry->tuning);
+    walk(r, *entry);
     if (!r.failed() && !r.atEnd())
         r.fail("trailing bytes after payload");
     if (r.failed()) {
@@ -854,10 +585,11 @@ inspectArtifact(const std::string &bytes, std::string *key,
     if (bytes.size() >= sizeof kMagic &&
         std::memcmp(bytes.data(), kMagic, sizeof kMagic) == 0) {
         ByteReader r(bytes);
-        for (std::size_t i = 0; i < sizeof kMagic; ++i)
-            r.u8();
-        r.u32(); // version
-        const std::string embedded = r.str();
+        std::uint32_t skipped = 0;
+        r.u32(skipped); // magic, matched above
+        r.u32(skipped); // version
+        std::string embedded;
+        r.str(embedded);
         if (!r.failed())
             *key = embedded;
     }
@@ -875,14 +607,19 @@ unwrapArtifact(const std::string &bytes, const std::string &expected_key,
         return ArtifactStatus::BadMagic;
 
     ByteReader r(bytes);
-    for (std::size_t i = 0; i < sizeof kMagic; ++i)
-        r.u8();
-    const std::uint32_t version = r.u32();
-    const std::string key = r.str();
-    const std::uint64_t payload_size = r.u64();
-    const std::uint64_t payload_checksum = r.u64();
+    std::uint32_t magic = 0;
+    std::uint32_t version = 0;
+    std::string key;
+    std::uint64_t payload_size = 0;
+    std::uint64_t payload_checksum = 0;
+    std::uint64_t header_checksum = 0;
+    r.u32(magic); // matched above
+    r.u32(version);
+    r.str(key);
+    r.u64(payload_size);
+    r.u64(payload_checksum);
     const std::size_t header_end = bytes.size() - r.remaining();
-    const std::uint64_t header_checksum = r.u64();
+    r.u64(header_checksum);
     if (r.failed()) {
         // A header we cannot even parse: either rot (same format) or a
         // layout from another format version.

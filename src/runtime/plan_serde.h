@@ -15,7 +15,9 @@
  * length-prefixed strings, count-prefixed sequences. Unordered maps
  * (tuning overrides) are serialized sorted by key so equal entries
  * produce bit-identical payloads. The payload carries no internal
- * checksums — integrity is the envelope's job.
+ * checksums — integrity is the envelope's job. Each structure's layout
+ * is written once, as a walk over its fields that the encoder and the
+ * decoder both run, so the two directions cannot drift apart.
  *
  * Envelope. wrapArtifact() frames a payload for disk:
  *

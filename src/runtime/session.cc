@@ -209,14 +209,13 @@ JitCacheEntry
 Session::compileAllClusters(const Graph &graph) const
 {
     const LadderPolicy policy{options_.fail_fast,
-                              options_.max_transient_retries,
                               options_.start_ladder_level};
     JitCacheEntry entry;
 
     // ---- Clustering, with containment. ----
     // Timings overwrite per attempt, so they describe the attempt that
     // actually produced the clusters.
-    for (int retries = options_.max_transient_retries;;) {
+    for (int retries = kMaxTransientRetries;;) {
         try {
             const auto cluster_t0 = SteadyClock::now();
             entry.clusters = findMemoryIntensiveClusters(graph);
@@ -254,14 +253,9 @@ Session::compileAllClusters(const Graph &graph) const
 
     const std::size_t n = entry.clusters.size();
     AnalysisOptions analysis;
-    analysis.consistency = options_.validate_plans || options_.analyze_plans;
-    analysis.sanitize = options_.analyze_plans;
-    analysis.verify = options_.analyze_plans;
     // Declared dynamic dims route through the mutable-cluster analyzer
     // overload below, which certifies each plan for the whole range.
     analysis.shape_params = options_.shape_params;
-    const bool analyze =
-        analysis.consistency || analysis.sanitize || analysis.verify;
 
     // Every cluster compiles and analyzes independently — the
     // embarrassingly-parallel half of the pipeline. Results land in
@@ -335,29 +329,27 @@ Session::compileAllClusters(const Graph &graph) const
             entry.tuning.clusters[i] = std::move(tuned.result);
         }
         const auto analysis_t0 = SteadyClock::now();
-        if (analyze) {
-            try {
-                analyzeCompiledCluster(graph, entry.clusters[i],
-                                       outcome.compiled, options_.spec,
-                                       engine, analysis);
-            } catch (const std::exception &e) {
-                if (options_.fail_fast)
-                    throw;
-                // Analysis itself crashed on the plan: drop to the
-                // terminal rung, whose single-op kernels the analyses
-                // trivially accept.
-                outcome.degradation.causes.push_back(
-                    strCat(ladderLevelName(outcome.degradation.level),
-                           ": analysis failed: ", e.what()));
-                outcome.degradation.level = LadderLevel::KernelPerOp;
-                FaultShield shield;
-                outcome.compiled = compileClusterKernelPerOp(
-                    graph, entry.clusters[i], options_.spec);
-                engine.clear();
-                analyzeCompiledCluster(graph, entry.clusters[i],
-                                       outcome.compiled, options_.spec,
-                                       engine, analysis);
-            }
+        try {
+            analyzeCompiledCluster(graph, entry.clusters[i],
+                                   outcome.compiled, options_.spec, engine,
+                                   analysis);
+        } catch (const std::exception &e) {
+            if (options_.fail_fast)
+                throw;
+            // Analysis itself crashed on the plan: drop to the terminal
+            // rung, whose single-op kernels the analyses trivially
+            // accept.
+            outcome.degradation.causes.push_back(
+                strCat(ladderLevelName(outcome.degradation.level),
+                       ": analysis failed: ", e.what()));
+            outcome.degradation.level = LadderLevel::KernelPerOp;
+            FaultShield shield;
+            outcome.compiled = compileClusterKernelPerOp(
+                graph, entry.clusters[i], options_.spec);
+            engine.clear();
+            analyzeCompiledCluster(graph, entry.clusters[i],
+                                   outcome.compiled, options_.spec, engine,
+                                   analysis);
         }
         addNs(analysis_ns, analysis_t0);
         if (outcome.degradation.level != LadderLevel::FullStitch) {
@@ -396,7 +388,7 @@ Session::compileAllClusters(const Graph &graph) const
 
     const int threads = resolveCompileThreads(options_.compile_threads);
     const auto parallel_t0 = SteadyClock::now();
-    for (int retries = options_.max_transient_retries;;) {
+    for (int retries = kMaxTransientRetries;;) {
         try {
             parallelFor(threads, n, compileOne);
             break;
@@ -491,20 +483,17 @@ Session::compileEntry(const Graph &graph)
     const auto diskAwareCompile = [&]() -> JitCacheEntry {
         if (!artifact_cache)
             return compileAllClusters(graph);
-        // The load gate re-proves a stored plan with the live
-        // analyzer. Consistency, access verification and the emitted-
-        // text AS9xx pass always run — an artifact is never trusted on
-        // checksums alone, and the stored kernel source is re-checked
-        // against the stored plan metadata on every warm load; the
-        // parametric pass is not re-run (its certificates are stored
-        // with the plans and only valid for the compiled ranges).
-        AnalysisOptions gate;
-        gate.consistency = true;
-        gate.sanitize = true;
-        gate.verify = true;
-        gate.emitted = true;
+        // The load gate re-proves a stored plan with every family of
+        // the live analyzer: consistency, sanitizer, access
+        // verification and the emitted-text AS9xx pass always run — an
+        // artifact is never trusted on checksums alone, and the stored
+        // kernel source is re-checked against the stored plan metadata
+        // on every warm load; the parametric pass is not re-run (its
+        // certificates are stored with the plans and only valid for
+        // the compiled ranges).
         ArtifactCache::Lease lease = artifact_cache->acquire(
-            cache_key, graph, options_.spec, gate, &artifact_events);
+            cache_key, graph, options_.spec, AnalysisOptions{},
+            &artifact_events);
         if (lease.entry)
             return std::move(*lease.entry);
         JitCacheEntry fresh = compileAllClusters(graph);
@@ -531,7 +520,7 @@ Session::compileEntry(const Graph &graph)
     std::shared_ptr<const JitCacheEntry> entry;
     bool cache_bypassed = false;
     int publish_retries = 0;
-    for (int retries = options_.max_transient_retries;;) {
+    for (int retries = kMaxTransientRetries;;) {
         compiled_here = false;
         try {
             entry = JitCache::global().getOrCompile(cache_key, compile_fn);
@@ -619,14 +608,12 @@ Session::commitEntry(std::shared_ptr<const JitCacheEntry> entry)
         // behaviour and message format of the plan validator. Applied
         // in cluster order, so the failing cluster is the same one a
         // serial compile would have stopped at.
-        if (options_.validate_plans) {
-            const auto structural = engine.withCodePrefix("AS0");
-            if (!structural.empty()) {
-                std::string message = "invalid compiled cluster:";
-                for (const Diagnostic &d : structural)
-                    message += strCat("\n  [", d.kernel, "] ", d.message);
-                fatal(message);
-            }
+        const auto structural = engine.withCodePrefix("AS0");
+        if (!structural.empty()) {
+            std::string message = "invalid compiled cluster:";
+            for (const Diagnostic &d : structural)
+                message += strCat("\n  [", d.kernel, "] ", d.message);
+            fatal(message);
         }
         if (options_.strict_analysis && engine.hasErrors())
             fatal("plan analysis found hazards:\n", engine.renderText());

@@ -59,16 +59,6 @@ struct SessionOptions
      * before skipping the disk tier (AS625). */
     double artifact_lock_timeout_ms = 10000.0;
 
-    /** Statically validate every compiled cluster (cheap; on by
-     * default — a backend emitting an inconsistent plan fails at
-     * compile time rather than at simulation time). */
-    bool validate_plans = true;
-
-    /** Run the full analysis subsystem (AS0xx consistency + AS1xx-AS5xx
-     * stitch sanitizer) over every compiled cluster; findings accumulate
-     * in Session::diagnostics(). */
-    bool analyze_plans = true;
-
     /** Promote analysis errors to fatal() at compile time. */
     bool strict_analysis = false;
 
@@ -97,10 +87,6 @@ struct SessionOptions
      * A test/CI facility; empty (the default) injects nothing.
      */
     std::string fault_plan;
-
-    /** Same-rung retries the recovery paths grant a transient fault
-     * before treating it as permanent and demoting. */
-    int max_transient_retries = 2;
 
     /**
      * First fallback-ladder rung to attempt per cluster. FullStitch

@@ -270,6 +270,217 @@ TEST(PlanSerde, RoundTripIsLosslessAndDeterministic)
     EXPECT_EQ(serializePlanPayload(back), once);
 }
 
+/**
+ * A hand-built cache entry, no codegen involved, with every serialized
+ * field set to a non-default value: one cluster, one kernel plan with
+ * one element in each of its sequences, one diagnostic with
+ * provenance, a degraded cluster, nonzero timings and a tuning
+ * decision with several map entries (inserted out of key order).
+ */
+JitCacheEntry
+goldenEntry()
+{
+    JitCacheEntry entry;
+    entry.clusters.push_back(Cluster{{3, 4, 5}, {1, 2}, {5}});
+
+    KernelPlan plan;
+    plan.name = "stitch_k0";
+    ScheduledOp op;
+    op.node = 4;
+    op.recompute_factor = 2.5;
+    op.out_space = BufferSpace::Shared;
+    op.partition = OpPartition{LaunchDims{80, 128}, 2, 3};
+    plan.ops = {op};
+    plan.inputs = {KernelInput{1, 1.5}};
+    plan.outputs = {5};
+    plan.launch = LaunchDims{160, 512};
+    plan.regs_per_thread = 48;
+    plan.smem_per_block = 4096;
+    plan.num_block_barriers = 2;
+    plan.num_global_barriers = 1;
+    plan.barriers = {BarrierPoint{0, BarrierScope::Device, 7}};
+    plan.shared_slots = {SharedSlot{4, 256, 1024}};
+    OpAccess access;
+    access.node = 4;
+    access.op_index = 0;
+    access.kind = AccessKind::Write;
+    access.space = AccessSpace::Shared;
+    access.buffer = "smem";
+    access.elem_bytes = 4;
+    access.extent = 1024;
+    access.index = AffineIndex{64, 1024, 512, 128, 1, 80, 2, 4, 128};
+    access.guard = 1000;
+    access.warp_stride = 2;
+    access.repeat = 0.5;
+    access.counts_traffic = false;
+    plan.accesses = {access};
+    SymbolicAccess sym;
+    sym.access_index = 0;
+    sym.extent = LinExpr::dim(0, 64, 128);
+    sym.offset = LinExpr::dim(0, 4, 8);
+    sym.value_extent = LinExpr::dim(0, 32);
+    plan.sym_accesses = {sym};
+    plan.certificate.verdict = ShapeCertificate::Verdict::Fallback;
+    plan.certificate.dims = {ShapeDim{"batch", 200, 101, 200, 4}};
+    plan.certificate.assumptions = {"batch % 4 == 0"};
+    plan.certificate.obligations_proven = 5;
+    plan.certificate.obligations_fallback = 1;
+    plan.cuda_source = "__global__ void stitch_k0() {}\n";
+    plan.atomic_operations = 12.0;
+    plan.read_coalescing = 0.75;
+    plan.write_coalescing = 0.5;
+    plan.extra_launch_overhead_us = 3.25;
+    plan.extra_bytes_read = 2048.0;
+
+    CompiledCluster compiled;
+    compiled.kernels = {plan};
+    compiled.num_memcpy = 2;
+    compiled.memcpy_bytes = 512.0;
+    compiled.global_scratch_bytes = 8192;
+    entry.compiled = {compiled};
+
+    Diagnostic d;
+    d.code = "AS831";
+    d.severity = Severity::Warning;
+    d.kernel = "stitch_k0";
+    d.message = "obligation fell back";
+    d.node = 4;
+    d.provenance = {"bucket:b=128", "bucket:b=256"};
+    DiagnosticEngine engine;
+    engine.add(d);
+    entry.cluster_diagnostics = {engine};
+
+    ClusterDegradation degradation;
+    degradation.level = LadderLevel::LocalOnly;
+    degradation.retries = 1;
+    degradation.causes = {"full-stitch: injected"};
+    entry.degradation.clusters = {degradation};
+    entry.degradation.clustering_fallback = true;
+    entry.degradation.serial_fallback = true;
+    entry.degradation.cache_bypassed = true;
+    entry.degradation.session_retries = 3;
+
+    entry.timings.clustering_ms = 1.5;
+    entry.timings.remote_stitch_ms = 2.5;
+    entry.timings.backend_compile_ms = 3.5;
+    entry.timings.analysis_ms = 4.5;
+    entry.timings.autotune_ms = 5.5;
+    entry.timings.parallel_section_ms = 6.5;
+    entry.timings.scheduling_ms = 7.5;
+
+    ClusterTuningResult tuned;
+    tuned.fingerprint = 0x0123456789abcdefULL;
+    tuned.heuristic_cost_us = 10.25;
+    tuned.tuned_cost_us = 8.5;
+    tuned.candidates_evaluated = 9;
+    tuned.candidates_rejected = 2;
+    tuned.improved = true;
+    tuned.db_hit = true;
+    tuned.search_ms = 1.25;
+    tuned.decision.schemes = {{5, StitchScheme::Global},
+                              {3, StitchScheme::Regional},
+                              {4, StitchScheme::Local}};
+    tuned.decision.mappings = {{5, MappingOverride{256, 2}},
+                               {3, MappingOverride{128, 0}}};
+    entry.tuning.enabled = true;
+    entry.tuning.clusters = {tuned};
+    return entry;
+}
+
+TEST(PlanSerde, GoldenPayloadPinsTheWireFormat)
+{
+    const std::string payload = serializePlanPayload(goldenEntry());
+    // Recorded from the mirrored put*/get* serializer that preceded the
+    // per-structure walks; any change to the wire layout changes it,
+    // and must bump kArtifactFormatVersion.
+    EXPECT_EQ(checksum64(payload), 0x671fa440ab7881b4ULL);
+    EXPECT_EQ(kArtifactFormatVersion, 2u);
+
+    JitCacheEntry back;
+    std::string error;
+    ASSERT_TRUE(deserializePlanPayload(payload, &back, &error)) << error;
+    EXPECT_EQ(serializePlanPayload(back), payload);
+
+    // What a symmetric round trip cannot prove: the fields land where
+    // they belong.
+    const TuningOverrides &decision = back.tuning.clusters.at(0).decision;
+    EXPECT_EQ(decision.schemes.size(), 3u);
+    EXPECT_EQ(decision.schemes.at(3), StitchScheme::Regional);
+    EXPECT_EQ(decision.schemes.at(5), StitchScheme::Global);
+    EXPECT_EQ(decision.mappings.at(5), (MappingOverride{256, 2}));
+    EXPECT_EQ(decision.mappings.at(3), (MappingOverride{128, 0}));
+    const KernelPlan &plan = back.compiled.at(0).kernels.at(0);
+    ASSERT_EQ(plan.certificate.dims.size(), 1u);
+    const ShapeDim &dim = plan.certificate.dims[0];
+    EXPECT_EQ(dim.name, "batch");
+    EXPECT_EQ(dim.value, 200);
+    EXPECT_EQ(dim.lo, 101);
+    EXPECT_EQ(dim.hi, 200);
+    EXPECT_EQ(dim.divisor, 4);
+    EXPECT_EQ(plan.cuda_source, "__global__ void stitch_k0() {}\n");
+    const Diagnostic &d = back.cluster_diagnostics.at(0).diagnostics().at(0);
+    EXPECT_EQ(d.severity, Severity::Warning);
+    EXPECT_EQ(d.provenance,
+              (std::vector<std::string>{"bucket:b=128", "bucket:b=256"}));
+}
+
+TEST(PlanSerde, DecoderRejectsMalformedPayloads)
+{
+    const JitCacheEntry entry = goldenEntry();
+    const std::string good = serializePlanPayload(entry);
+    const auto decodeError = [](const std::string &bytes) {
+        JitCacheEntry back;
+        std::string error;
+        EXPECT_FALSE(deserializePlanPayload(bytes, &back, &error));
+        return error;
+    };
+    const auto at = [&](std::size_t offset, std::size_t size) {
+        return " at byte " + std::to_string(offset) + " of " +
+               std::to_string(size);
+    };
+
+    for (std::size_t keep = 0; keep < good.size(); ++keep) {
+        SCOPED_TRACE("prefix of " + std::to_string(keep) + " bytes");
+        EXPECT_FALSE(decodeError(good.substr(0, keep)).empty());
+    }
+
+    EXPECT_EQ(decodeError(good + '\0'),
+              "trailing bytes after payload" +
+                  at(good.size(), good.size() + 1));
+
+    std::string huge_count = good; // the leading cluster count
+    huge_count.replace(0, 4, "\xff\xff\xff\xff");
+    EXPECT_EQ(decodeError(huge_count),
+              "sequence count exceeds buffer" + at(4, good.size()));
+
+    // The diagnostic record: code, severity byte, kernel, message,
+    // node, provenance list.
+    const Diagnostic &d = entry.cluster_diagnostics[0].diagnostics()[0];
+    const std::size_t code_at = good.find("AS831");
+    ASSERT_NE(code_at, std::string::npos);
+    std::size_t diagnostic_end = code_at + d.code.size() + 1 + 4 +
+                                 d.kernel.size() + 4 + d.message.size() +
+                                 4 + 4;
+    for (const std::string &p : d.provenance)
+        diagnostic_end += 4 + p.size();
+    std::string unknown_code = good;
+    unknown_code.replace(code_at, 5, "AS999");
+    EXPECT_EQ(decodeError(unknown_code),
+              "unknown diagnostic code 'AS999'" +
+                  at(diagnostic_end, good.size()));
+
+    // The first op's out_space: after the plan name, the op count, the
+    // op's node and its recompute factor.
+    const std::size_t name_at = good.find("stitch_k0");
+    ASSERT_NE(name_at, std::string::npos);
+    const std::size_t space_at = name_at + 9 + 4 + 4 + 8;
+    ASSERT_EQ(good[space_at], static_cast<char>(BufferSpace::Shared));
+    std::string bad_enum = good;
+    bad_enum[space_at] = static_cast<char>(BufferSpace::Output) + 1;
+    EXPECT_EQ(decodeError(bad_enum),
+              "enum value out of range" + at(space_at + 1, good.size()));
+}
+
 TEST(ArtifactCache, TruncationAlwaysRecompiles)
 {
     const std::string dir = freshDir("truncate");
