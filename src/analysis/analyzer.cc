@@ -7,26 +7,14 @@ namespace astitch {
 bool
 analyzeCompiledCluster(const Graph &graph, const Cluster &cluster,
                        const CompiledCluster &compiled, const GpuSpec &spec,
-                       DiagnosticEngine &engine,
-                       const AnalysisOptions &options)
+                       DiagnosticEngine &engine)
 {
     const int errors_before = engine.count(Severity::Error);
-    if (options.consistency)
-        checkPlanConsistency(graph, cluster, compiled, spec, engine);
-    if (options.sanitize) {
-        sanitizeCompiledCluster(graph, compiled, spec, engine,
-                                options.sanitizer);
-    }
-    if (options.verify) {
-        verifyCompiledCluster(graph, compiled, spec, engine,
-                              options.verifier);
-    }
-    if (options.emitted) {
-        for (const KernelPlan &plan : compiled.kernels) {
-            analyzeEmittedCuda(graph, plan, spec, engine,
-                               options.cuda_static);
-        }
-    }
+    checkPlanConsistency(graph, cluster, compiled, spec, engine);
+    sanitizeCompiledCluster(graph, compiled, spec, engine);
+    verifyCompiledCluster(graph, compiled, spec, engine);
+    for (const KernelPlan &plan : compiled.kernels)
+        analyzeEmittedCuda(graph, plan, spec, engine);
     return engine.count(Severity::Error) == errors_before;
 }
 
@@ -37,12 +25,12 @@ analyzeCompiledCluster(const Graph &graph, const Cluster &cluster,
                        const AnalysisOptions &options)
 {
     const CompiledCluster &immutable = compiled;
-    bool clean = analyzeCompiledCluster(graph, cluster, immutable, spec,
-                                        engine, options);
-    if (options.verify && !options.shape_params.empty()) {
+    bool clean =
+        analyzeCompiledCluster(graph, cluster, immutable, spec, engine);
+    if (!options.shape_params.empty()) {
         const int errors_before = engine.count(Severity::Error);
         certifyCompiledCluster(graph, compiled, options.shape_params,
-                               engine, options.verifier);
+                               engine);
         clean = clean && engine.count(Severity::Error) == errors_before;
     }
     return clean;

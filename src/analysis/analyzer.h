@@ -25,17 +25,14 @@
 
 namespace astitch {
 
-/** Which analyses to run (all on by default). */
+/**
+ * Analysis inputs beyond the compiled cluster. There are no per-family
+ * switches: every family always runs, and a caller that wants one
+ * family's findings filters the engine by code prefix
+ * (DiagnosticEngine::withCodePrefix / withFamily).
+ */
 struct AnalysisOptions
 {
-    bool consistency = true;    ///< AS0xx structural checks
-    bool sanitize = true;       ///< AS1xx..AS5xx hazard checks
-    bool verify = true;         ///< AS7xx access verification
-    bool emitted = true;        ///< AS9xx emitted-source static analysis
-    SanitizerOptions sanitizer; ///< per-family sanitizer switches
-    VerifierOptions verifier;   ///< per-family verifier switches
-    CudaStaticOptions cuda_static; ///< per-family AS9xx switches
-
     /**
      * Declared dynamic-dimension ranges for shape-parametric (AS8xx)
      * certification. Empty (the default) disables the parametric pass;
@@ -43,17 +40,6 @@ struct AnalysisOptions
      * overload attach a ShapeCertificate to every verifiable plan.
      */
     std::vector<ShapeDim> shape_params;
-
-    /** Everything off: the cheap consistency-only configuration the
-     * legacy plan-validator entry points use. */
-    static AnalysisOptions consistencyOnly()
-    {
-        AnalysisOptions options;
-        options.sanitize = false;
-        options.verify = false;
-        options.emitted = false;
-        return options;
-    }
 };
 
 /**
@@ -63,8 +49,7 @@ struct AnalysisOptions
  */
 bool analyzeCompiledCluster(const Graph &graph, const Cluster &cluster,
                             const CompiledCluster &compiled,
-                            const GpuSpec &spec, DiagnosticEngine &engine,
-                            const AnalysisOptions &options = {});
+                            const GpuSpec &spec, DiagnosticEngine &engine);
 
 /**
  * Mutable-cluster overload: runs the same check families and, when

@@ -1089,8 +1089,7 @@ endsWith(const std::string &s, const char *suffix)
 bool
 analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
                          const KernelPlan &plan, const GpuSpec &spec,
-                         DiagnosticEngine &engine,
-                         const CudaStaticOptions &options)
+                         DiagnosticEngine &engine)
 {
     (void)spec;
     const int errors_before = engine.count(Severity::Error);
@@ -1112,294 +1111,288 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
     const std::int64_t block = plan.launch.block;
 
     // ---- 1. Divergence dataflow: every function with a body. ----
-    if (options.divergence) {
-        for (const CudaFunction &fn : prog.functions) {
-            if (fn.body < 0)
-                continue;
-            DivergenceWalk walk{fn, plan, engine, grid, block, {}};
-            walk.walk(fn.body, kUniform);
-        }
+    for (const CudaFunction &fn : prog.functions) {
+        if (fn.body < 0)
+            continue;
+        DivergenceWalk walk{fn, plan, engine, grid, block, {}};
+        walk.walk(fn.body, kUniform);
     }
 
     // ---- 2. Text-vs-plan cross-checks. ----
-    if (options.crosscheck) {
-        // AS913: __launch_bounds__ vs the plan's block size.
-        if (kernel->launch_bounds_block != plan.launch.block) {
-            engine.report(
-                "AS913", plan.name,
-                kernel->launch_bounds_block < 0
-                    ? strCat("kernel has no __launch_bounds__ "
-                             "annotation; the register planner's "
-                             "occupancy contract (block size ",
-                             plan.launch.block, ") is unenforced")
-                    : strCat("__launch_bounds__(",
-                             kernel->launch_bounds_block,
-                             ") disagrees with the plan's block size ",
-                             plan.launch.block,
-                             ": the register planner budgeted for a "
-                             "different occupancy"));
-        }
+    // AS913: __launch_bounds__ vs the plan's block size.
+    if (kernel->launch_bounds_block != plan.launch.block) {
+        engine.report(
+            "AS913", plan.name,
+            kernel->launch_bounds_block < 0
+                ? strCat("kernel has no __launch_bounds__ "
+                         "annotation; the register planner's "
+                         "occupancy contract (block size ",
+                         plan.launch.block, ") is unenforced")
+                : strCat("__launch_bounds__(",
+                         kernel->launch_bounds_block,
+                         ") disagrees with the plan's block size ",
+                         plan.launch.block,
+                         ": the register planner budgeted for a "
+                         "different occupancy"));
+    }
 
-        // AS911: re-derived barrier sequence vs plan.barriers.
-        int text_sync = 0;
-        int text_grid = 0;
-        forEachSimple(*kernel, kernel->body, [&](const CudaStmt &stmt) {
-            const BarrierKind kind = barrierKindOf(stmt);
-            if (kind == BarrierKind::Sync)
-                ++text_sync;
-            else if (kind == BarrierKind::Grid)
-                ++text_grid;
-        });
-        int plan_sync = 0;
-        int plan_grid = 0;
-        for (const BarrierPoint &point : plan.barriers) {
-            if (point.scope == BarrierScope::Block)
-                ++plan_sync;
-            else
-                ++plan_grid;
-        }
-        if (text_sync != plan_sync) {
-            engine.report(
-                "AS911", plan.name,
-                strCat("emitted text contains ", text_sync,
-                       " __syncthreads() statement(s) but the plan "
-                       "schedules ", plan_sync,
-                       " block barrier(s): the rendered kernel does "
-                       "not implement the plan's barrier schedule"));
-        }
-        if (text_grid != plan_grid) {
-            engine.report(
-                "AS911", plan.name,
-                strCat("emitted text contains ", text_grid,
-                       " grid_barrier() call(s) but the plan "
-                       "schedules ", plan_grid,
-                       " device barrier(s)"));
-        }
-        if (text_grid > 0 && findFunction(prog, "grid_barrier") == nullptr) {
-            engine.report("AS911", plan.name,
-                          "grid_barrier() is invoked but never "
-                          "defined: the device-barrier schedule is "
-                          "not implementable");
-        }
+    // AS911: re-derived barrier sequence vs plan.barriers.
+    int text_sync = 0;
+    int text_grid = 0;
+    forEachSimple(*kernel, kernel->body, [&](const CudaStmt &stmt) {
+        const BarrierKind kind = barrierKindOf(stmt);
+        if (kind == BarrierKind::Sync)
+            ++text_sync;
+        else if (kind == BarrierKind::Grid)
+            ++text_grid;
+    });
+    int plan_sync = 0;
+    int plan_grid = 0;
+    for (const BarrierPoint &point : plan.barriers) {
+        if (point.scope == BarrierScope::Block)
+            ++plan_sync;
+        else
+            ++plan_grid;
+    }
+    if (text_sync != plan_sync) {
+        engine.report(
+            "AS911", plan.name,
+            strCat("emitted text contains ", text_sync,
+                   " __syncthreads() statement(s) but the plan "
+                   "schedules ", plan_sync,
+                   " block barrier(s): the rendered kernel does "
+                   "not implement the plan's barrier schedule"));
+    }
+    if (text_grid != plan_grid) {
+        engine.report(
+            "AS911", plan.name,
+            strCat("emitted text contains ", text_grid,
+                   " grid_barrier() call(s) but the plan "
+                   "schedules ", plan_grid,
+                   " device barrier(s)"));
+    }
+    if (text_grid > 0 && findFunction(prog, "grid_barrier") == nullptr) {
+        engine.report("AS911", plan.name,
+                      "grid_barrier() is invoked but never "
+                      "defined: the device-barrier schedule is "
+                      "not implementable");
+    }
 
-        // AS912: arena declaration and slot layout.
-        const std::int64_t text_words = declaredArenaWords(*kernel);
-        const std::int64_t plan_words = (plan.smem_per_block + 3) / 4;
-        if (plan.smem_per_block > 0 && text_words < 0) {
+    // AS912: arena declaration and slot layout.
+    const std::int64_t text_words = declaredArenaWords(*kernel);
+    const std::int64_t plan_words = (plan.smem_per_block + 3) / 4;
+    if (plan.smem_per_block > 0 && text_words < 0) {
+        engine.report(
+            "AS912", plan.name,
+            strCat("plan reserves ", plan.smem_per_block,
+                   " B of shared arena but the text declares no "
+                   "__shared__ smem[] arena"));
+    } else if (plan.smem_per_block <= 0 && text_words >= 0) {
+        engine.report(
+            "AS912", plan.name,
+            strCat("text declares a ", text_words * 4,
+                   " B shared arena the plan does not account "
+                   "for"));
+    } else if (text_words >= 0 && text_words != plan_words) {
+        engine.report(
+            "AS912", plan.name,
+            strCat("declared shared arena is ", text_words,
+                   " words but the planner sized it ", plan_words,
+                   " words (", plan.smem_per_block,
+                   " B): regional buffers can overflow or "
+                   "collide"));
+    }
+    std::map<std::string, std::pair<std::int64_t, std::int64_t>>
+        expected_slots; // alias -> {offset words, size words}
+    for (const SharedSlot &slot : plan.shared_slots) {
+        expected_slots[emittedValueName(graph, slot.node) + "_smem"] = {
+            slot.offset_bytes / 4,
+            std::max<std::int64_t>(1, slot.size_bytes / 4)};
+    }
+    for (const auto &alias : arenaAliases(*kernel)) {
+        const auto it = expected_slots.find(alias.first);
+        if (it == expected_slots.end()) {
             engine.report(
                 "AS912", plan.name,
-                strCat("plan reserves ", plan.smem_per_block,
-                       " B of shared arena but the text declares no "
-                       "__shared__ smem[] arena"));
-        } else if (plan.smem_per_block <= 0 && text_words >= 0) {
-            engine.report(
-                "AS912", plan.name,
-                strCat("text declares a ", text_words * 4,
-                       " B shared arena the plan does not account "
-                       "for"));
-        } else if (text_words >= 0 && text_words != plan_words) {
-            engine.report(
-                "AS912", plan.name,
-                strCat("declared shared arena is ", text_words,
-                       " words but the planner sized it ", plan_words,
-                       " words (", plan.smem_per_block,
-                       " B): regional buffers can overflow or "
-                       "collide"));
+                strCat("regional buffer ", alias.first,
+                       " (smem + ", alias.second,
+                       ") has no slot in the planner's arena "
+                       "layout"));
+            continue;
         }
-        std::map<std::string, std::pair<std::int64_t, std::int64_t>>
-            expected_slots; // alias -> {offset words, size words}
-        for (const SharedSlot &slot : plan.shared_slots) {
-            expected_slots[emittedValueName(graph, slot.node) + "_smem"] = {
-                slot.offset_bytes / 4,
-                std::max<std::int64_t>(1, slot.size_bytes / 4)};
+        if (alias.second != it->second.first) {
+            engine.report(
+                "AS912", plan.name,
+                strCat("regional buffer ", alias.first,
+                       " placed at word ", alias.second,
+                       " but the planner assigned word ",
+                       it->second.first,
+                       ": buffers alias other slots"));
+        } else if (text_words >= 0 &&
+                   it->second.first + it->second.second >
+                       text_words) {
+            engine.report(
+                "AS912", plan.name,
+                strCat("regional buffer ", alias.first, " spans [",
+                       it->second.first, ", ",
+                       it->second.first + it->second.second,
+                       ") words, past the declared arena of ",
+                       text_words, " words"));
         }
-        for (const auto &alias : arenaAliases(*kernel)) {
-            const auto it = expected_slots.find(alias.first);
-            if (it == expected_slots.end()) {
-                engine.report(
-                    "AS912", plan.name,
-                    strCat("regional buffer ", alias.first,
-                           " (smem + ", alias.second,
-                           ") has no slot in the planner's arena "
-                           "layout"));
+    }
+
+    // AS914: per-buffer read/write sets vs the access summary.
+    if (!plan.accesses.empty()) {
+        std::map<std::string, std::string> known; // text name -> buffer
+        for (const KernelInput &in : plan.inputs) {
+            known[emittedValueName(graph, in.node)] =
+                strCat("input:%", in.node);
+        }
+        for (NodeId out : plan.outputs) {
+            known[emittedValueName(graph, out) + "_out"] =
+                strCat("out:%", out);
+        }
+        for (const ScheduledOp &op : plan.ops) {
+            if (op.out_space == BufferSpace::Global) {
+                known[emittedValueName(graph, op.node) + "_g"] =
+                    strCat("scratch:%", op.node);
+            }
+        }
+        std::set<std::pair<std::string, AccessKind>> plan_set;
+        for (const OpAccess &access : plan.accesses)
+            plan_set.emplace(access.buffer, access.kind);
+
+        const TextAccesses text = collectTextAccesses(*kernel);
+        std::set<std::string> reported;
+        const auto infrastructure = [&](const std::string &name) {
+            return isSmemName(name) || endsWith(name, "_partial") ||
+                   name == "global_scratch" ||
+                   name == "barrier_state" || name == "arrive" ||
+                   name == "depart";
+        };
+        const auto check_text = [&](const std::string &name,
+                                    AccessKind kind) {
+            if (infrastructure(name))
+                return;
+            const auto it = known.find(name);
+            const char *verb =
+                kind == AccessKind::Read ? "reads" : "writes";
+            std::string message;
+            if (it == known.end()) {
+                message = strCat(
+                    "emitted text ", verb, " buffer ", name,
+                    " which maps to no input/output/scratch "
+                    "buffer of the plan");
+            } else if (!plan_set.count({it->second, kind})) {
+                message = strCat(
+                    "emitted text ", verb, " ", name, " (",
+                    it->second,
+                    ") but the plan's access summary declares "
+                    "no such access");
+            } else {
+                return;
+            }
+            if (reported.insert(message).second)
+                engine.report("AS914", plan.name, message);
+        };
+        for (const std::string &name : text.reads)
+            check_text(name, AccessKind::Read);
+        for (const std::string &name : text.writes)
+            check_text(name, AccessKind::Write);
+
+        // Plan -> text: every declared off-chip access of a
+        // nameable buffer must appear in the text.
+        std::map<std::string, std::string> names; // buffer -> name
+        for (const auto &entry : known)
+            names[entry.second] = entry.first;
+        std::set<std::pair<std::string, AccessKind>> seen;
+        for (const OpAccess &access : plan.accesses) {
+            if (!seen.emplace(access.buffer, access.kind).second)
                 continue;
-            }
-            if (alias.second != it->second.first) {
+            const auto it = names.find(access.buffer);
+            if (it == names.end())
+                continue; // smem / remat: not nameable in text
+            const bool read = access.kind == AccessKind::Read;
+            const std::set<std::string> &have =
+                read ? text.reads : text.writes;
+            if (!have.count(it->second)) {
                 engine.report(
-                    "AS912", plan.name,
-                    strCat("regional buffer ", alias.first,
-                           " placed at word ", alias.second,
-                           " but the planner assigned word ",
-                           it->second.first,
-                           ": buffers alias other slots"));
-            } else if (text_words >= 0 &&
-                       it->second.first + it->second.second >
-                           text_words) {
-                engine.report(
-                    "AS912", plan.name,
-                    strCat("regional buffer ", alias.first, " spans [",
-                           it->second.first, ", ",
-                           it->second.first + it->second.second,
-                           ") words, past the declared arena of ",
-                           text_words, " words"));
-            }
-        }
-
-        // AS914: per-buffer read/write sets vs the access summary.
-        if (!plan.accesses.empty()) {
-            std::map<std::string, std::string> known; // text name -> buffer
-            for (const KernelInput &in : plan.inputs) {
-                known[emittedValueName(graph, in.node)] =
-                    strCat("input:%", in.node);
-            }
-            for (NodeId out : plan.outputs) {
-                known[emittedValueName(graph, out) + "_out"] =
-                    strCat("out:%", out);
-            }
-            for (const ScheduledOp &op : plan.ops) {
-                if (op.out_space == BufferSpace::Global) {
-                    known[emittedValueName(graph, op.node) + "_g"] =
-                        strCat("scratch:%", op.node);
-                }
-            }
-            std::set<std::pair<std::string, AccessKind>> plan_set;
-            for (const OpAccess &access : plan.accesses)
-                plan_set.emplace(access.buffer, access.kind);
-
-            const TextAccesses text = collectTextAccesses(*kernel);
-            std::set<std::string> reported;
-            const auto infrastructure = [&](const std::string &name) {
-                return isSmemName(name) || endsWith(name, "_partial") ||
-                       name == "global_scratch" ||
-                       name == "barrier_state" || name == "arrive" ||
-                       name == "depart";
-            };
-            const auto check_text = [&](const std::string &name,
-                                        AccessKind kind) {
-                if (infrastructure(name))
-                    return;
-                const auto it = known.find(name);
-                const char *verb =
-                    kind == AccessKind::Read ? "reads" : "writes";
-                std::string message;
-                if (it == known.end()) {
-                    message = strCat(
-                        "emitted text ", verb, " buffer ", name,
-                        " which maps to no input/output/scratch "
-                        "buffer of the plan");
-                } else if (!plan_set.count({it->second, kind})) {
-                    message = strCat(
-                        "emitted text ", verb, " ", name, " (",
-                        it->second,
-                        ") but the plan's access summary declares "
-                        "no such access");
-                } else {
-                    return;
-                }
-                if (reported.insert(message).second)
-                    engine.report("AS914", plan.name, message);
-            };
-            for (const std::string &name : text.reads)
-                check_text(name, AccessKind::Read);
-            for (const std::string &name : text.writes)
-                check_text(name, AccessKind::Write);
-
-            // Plan -> text: every declared off-chip access of a
-            // nameable buffer must appear in the text.
-            std::map<std::string, std::string> names; // buffer -> name
-            for (const auto &entry : known)
-                names[entry.second] = entry.first;
-            std::set<std::pair<std::string, AccessKind>> seen;
-            for (const OpAccess &access : plan.accesses) {
-                if (!seen.emplace(access.buffer, access.kind).second)
-                    continue;
-                const auto it = names.find(access.buffer);
-                if (it == names.end())
-                    continue; // smem / remat: not nameable in text
-                const bool read = access.kind == AccessKind::Read;
-                const std::set<std::string> &have =
-                    read ? text.reads : text.writes;
-                if (!have.count(it->second)) {
-                    engine.report(
-                        "AS914", plan.name,
-                        strCat("plan declares a ",
-                               accessKindName(access.kind),
-                               " of ", access.buffer, " (",
-                               it->second,
-                               ") that never occurs in the emitted "
-                               "text"));
-                }
+                    "AS914", plan.name,
+                    strCat("plan declares a ",
+                           accessKindName(access.kind),
+                           " of ", access.buffer, " (",
+                           it->second,
+                           ") that never occurs in the emitted "
+                           "text"));
             }
         }
     }
 
     // ---- 3. Emitted-idiom lints. ----
-    if (options.lint) {
-        // AS921: grid-barrier flags must be declared volatile.
-        if (const CudaFunction *helper =
-                findFunction(prog, "grid_barrier")) {
-            for (const CudaParam &param : helper->params) {
-                if (!param.is_pointer || !param.is_volatile) {
-                    engine.report(
-                        "AS921", plan.name,
-                        strCat("grid_barrier flag parameter '",
-                               param.name,
-                               "' is not a volatile pointer: the "
-                               "spin loop can be hoisted and the "
-                               "inter-block barrier never releases"));
-                }
-            }
-        }
-
-        // AS922: smem write with a barrier-free path to kernel exit.
-        const Cfg cfg = buildCfg(*kernel);
-        for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
-            const CfgNode &node = cfg.nodes[n];
-            if (!node.smem_write)
-                continue;
-            if (exitReachableWithoutBarrier(cfg,
-                                            static_cast<int>(n))) {
+    // AS921: grid-barrier flags must be declared volatile.
+    if (const CudaFunction *helper =
+            findFunction(prog, "grid_barrier")) {
+        for (const CudaParam &param : helper->params) {
+            if (!param.is_pointer || !param.is_volatile) {
                 engine.report(
-                    "AS922", plan.name,
-                    strCat("line ", node.line, ": write to shared "
-                           "buffer ", node.buffer,
-                           " can reach kernel exit without a block "
-                           "barrier: consumers in other threads are "
-                           "unordered against it"));
+                    "AS921", plan.name,
+                    strCat("grid_barrier flag parameter '",
+                           param.name,
+                           "' is not a volatile pointer: the "
+                           "spin loop can be hoisted and the "
+                           "inter-block barrier never releases"));
             }
         }
+    }
 
-        // AS923: task-loop bounds must cover a scheduled extent.
-        std::set<std::int64_t> accepted;
-        for (const ScheduledOp &op : plan.ops) {
-            if (!op.partition.known())
-                continue;
-            const std::int64_t extent = op.partition.launch.grid *
-                                        op.partition.tasks_per_block;
-            accepted.insert(extent);
-            if (grid > 0)
-                accepted.insert((extent + grid - 1) / grid * grid);
+    // AS922: smem write with a barrier-free path to kernel exit.
+    const Cfg cfg = buildCfg(*kernel);
+    for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
+        const CfgNode &node = cfg.nodes[n];
+        if (!node.smem_write)
+            continue;
+        if (exitReachableWithoutBarrier(cfg,
+                                        static_cast<int>(n))) {
+            engine.report(
+                "AS922", plan.name,
+                strCat("line ", node.line, ": write to shared "
+                       "buffer ", node.buffer,
+                       " can reach kernel exit without a block "
+                       "barrier: consumers in other threads are "
+                       "unordered against it"));
         }
-        if (!accepted.empty()) {
-            forEachStmt(*kernel, kernel->body, [&](const CudaStmt &stmt) {
-                if (stmt.kind != CudaStmt::Kind::For)
-                    return;
-                const LoopInfo info = classifyLoop(stmt);
-                if (!isTaskLoop(info) || !info.upper_bounded)
-                    return;
-                if (!accepted.count(info.bound)) {
-                    engine.report(
-                        "AS923", plan.name,
-                        strCat("line ", stmt.line,
-                               ": vertical-packing task loop bound ",
-                               info.bound,
-                               " matches no scheduled group's task "
-                               "extent (nor its grid-uniform "
-                               "padding): tasks are dropped or "
-                               "duplicated"));
-                }
-            });
-        }
+    }
+
+    // AS923: task-loop bounds must cover a scheduled extent.
+    std::set<std::int64_t> accepted;
+    for (const ScheduledOp &op : plan.ops) {
+        if (!op.partition.known())
+            continue;
+        const std::int64_t extent = op.partition.launch.grid *
+                                    op.partition.tasks_per_block;
+        accepted.insert(extent);
+        if (grid > 0)
+            accepted.insert((extent + grid - 1) / grid * grid);
+    }
+    if (!accepted.empty()) {
+        forEachStmt(*kernel, kernel->body, [&](const CudaStmt &stmt) {
+            if (stmt.kind != CudaStmt::Kind::For)
+                return;
+            const LoopInfo info = classifyLoop(stmt);
+            if (!isTaskLoop(info) || !info.upper_bounded)
+                return;
+            if (!accepted.count(info.bound)) {
+                engine.report(
+                    "AS923", plan.name,
+                    strCat("line ", stmt.line,
+                           ": vertical-packing task loop bound ",
+                           info.bound,
+                           " matches no scheduled group's task "
+                           "extent (nor its grid-uniform "
+                           "padding): tasks are dropped or "
+                           "duplicated"));
+            }
+        });
     }
 
     return engine.count(Severity::Error) == errors_before;
@@ -1407,13 +1400,12 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
 
 bool
 analyzeEmittedCuda(const Graph &graph, const KernelPlan &plan,
-                   const GpuSpec &spec, DiagnosticEngine &engine,
-                   const CudaStaticOptions &options)
+                   const GpuSpec &spec, DiagnosticEngine &engine)
 {
     if (plan.cuda_source.empty())
         return true; // backend renders no source: vacuously clean
     return analyzeEmittedCudaSource(graph, plan.cuda_source, plan, spec,
-                                    engine, options);
+                                    engine);
 }
 
 EmittedSourceSurvey

@@ -19,6 +19,27 @@ namespace {
 std::atomic<std::int64_t> g_plan_runs{0};
 std::atomic<std::int64_t> g_symbolic_certifications{0};
 
+/**
+ * AS721 fires when a warp needs at least this many times the sectors
+ * of an ideal stride-1 access. 4x keeps the legitimate stride-2
+ * transpose/column classes (priced by the cost model at 0.5
+ * coalescing) below the lint.
+ */
+constexpr double kCoalescingSlack = 4.0;
+
+/** AS741 fires above this per-element recompute factor. */
+constexpr double kRecomputeBlowup = 16.0;
+
+/** AS751 relative tolerance against the cost model. */
+constexpr double kCostTolerance = 0.05;
+
+/**
+ * AS751 absolute slack (transactions): per-access sector rounding
+ * legitimately diverges from the model's aggregate rounding by up to
+ * one transaction per access, so tiny kernels need a floor.
+ */
+constexpr double kCostMinSlack = 16.0;
+
 /** Coverage accumulator for one written off-chip buffer. */
 struct WriteCoverage
 {
@@ -221,8 +242,7 @@ checkRaces(const KernelPlan &plan, DiagnosticEngine &engine)
 }
 
 void
-checkCoalescing(const KernelPlan &plan, DiagnosticEngine &engine,
-                const VerifierOptions &options)
+checkCoalescing(const KernelPlan &plan, DiagnosticEngine &engine)
 {
     for (const OpAccess &a : plan.accesses) {
         if (a.space == AccessSpace::Shared || !a.counts_traffic)
@@ -231,7 +251,7 @@ checkCoalescing(const KernelPlan &plan, DiagnosticEngine &engine,
         const std::int64_t actual =
             sectorsPerWarp(a.warp_stride, a.elem_bytes);
         if (static_cast<double>(actual) >=
-            options.coalescing_slack * static_cast<double>(ideal)) {
+            kCoalescingSlack * static_cast<double>(ideal)) {
             engine.report(
                 "AS721", plan.name,
                 strCat("warp needs ", actual, " sectors (ideal ", ideal,
@@ -259,18 +279,17 @@ checkBankConflicts(const KernelPlan &plan, DiagnosticEngine &engine)
 }
 
 void
-checkRecompute(const KernelPlan &plan, DiagnosticEngine &engine,
-               const VerifierOptions &options)
+checkRecompute(const KernelPlan &plan, DiagnosticEngine &engine)
 {
     for (std::size_t i = 0; i < plan.ops.size(); ++i) {
         const ScheduledOp &op = plan.ops[i];
-        if (op.recompute_factor > options.recompute_blowup) {
+        if (op.recompute_factor > kRecomputeBlowup) {
             engine.report(
                 "AS741", plan.name,
                 strCat("op ", i, " recomputes every element ",
                        strFixed(op.recompute_factor, 1),
                        "x (broadcast blowup threshold ",
-                       strFixed(options.recompute_blowup, 1), ")"),
+                       strFixed(kRecomputeBlowup, 1), ")"),
                 op.node);
         }
     }
@@ -278,8 +297,7 @@ checkRecompute(const KernelPlan &plan, DiagnosticEngine &engine,
 
 void
 checkCostModel(const Graph &graph, const KernelPlan &plan,
-               const GpuSpec &spec, DiagnosticEngine &engine,
-               const VerifierOptions &options)
+               const GpuSpec &spec, DiagnosticEngine &engine)
 {
     const TransactionEstimate est = staticTransactionCounts(plan);
     KernelRecord record;
@@ -291,8 +309,8 @@ checkCostModel(const Graph &graph, const KernelPlan &plan,
         return;
     }
     auto compare = [&](const char *what, double verifier, double model) {
-        const double allowed = std::max(options.cost_tolerance * model,
-                                        options.cost_min_slack);
+        const double allowed =
+            std::max(kCostTolerance * model, kCostMinSlack);
         if (std::abs(verifier - model) > allowed) {
             engine.report(
                 "AS751", plan.name,
@@ -328,33 +346,25 @@ staticTransactionCounts(const KernelPlan &plan)
 
 void
 verifyKernelPlan(const Graph &graph, const KernelPlan &plan,
-                 const GpuSpec &spec, DiagnosticEngine &engine,
-                 const VerifierOptions &options)
+                 const GpuSpec &spec, DiagnosticEngine &engine)
 {
     if (plan.accesses.empty())
         return; // no summaries recorded (non-stitch backend / fallback)
     g_plan_runs.fetch_add(1, std::memory_order_relaxed);
-    if (options.bounds)
-        checkBounds(plan, engine);
-    if (options.races)
-        checkRaces(plan, engine);
-    if (options.coalescing)
-        checkCoalescing(plan, engine, options);
-    if (options.bank_conflicts)
-        checkBankConflicts(plan, engine);
-    if (options.recompute)
-        checkRecompute(plan, engine, options);
-    if (options.cost_check)
-        checkCostModel(graph, plan, spec, engine, options);
+    checkBounds(plan, engine);
+    checkRaces(plan, engine);
+    checkCoalescing(plan, engine);
+    checkBankConflicts(plan, engine);
+    checkRecompute(plan, engine);
+    checkCostModel(graph, plan, spec, engine);
 }
 
 void
 verifyCompiledCluster(const Graph &graph, const CompiledCluster &compiled,
-                      const GpuSpec &spec, DiagnosticEngine &engine,
-                      const VerifierOptions &options)
+                      const GpuSpec &spec, DiagnosticEngine &engine)
 {
     for (const KernelPlan &plan : compiled.kernels)
-        verifyKernelPlan(graph, plan, spec, engine, options);
+        verifyKernelPlan(graph, plan, spec, engine);
 }
 
 std::int64_t
@@ -451,8 +461,7 @@ witnessCandidates(const std::vector<ShapeDim> &dims)
 ShapeCertificate
 verifyKernelPlanSymbolic(const KernelPlan &plan,
                          const std::vector<ShapeDim> &dims,
-                         DiagnosticEngine &engine,
-                         const VerifierOptions &options)
+                         DiagnosticEngine &engine)
 {
     ShapeCertificate cert;
     cert.dims = dims;
@@ -532,357 +541,355 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
 
     std::vector<std::string> regrow_guards;
 
-    if (options.bounds) {
-        // Writers per off-chip buffer: parametric coverage refutation
-        // is only sound for single-writer buffers (several writers can
-        // jointly cover what none covers alone).
-        std::map<std::string, int> writers;
-        for (const OpAccess &a : plan.accesses) {
-            if (a.kind == AccessKind::Write &&
-                a.space != AccessSpace::Shared)
-                ++writers[a.buffer];
-        }
+    // Bounds, coverage and arena obligations (AS801-AS804, AS821).
+    // Writers per off-chip buffer: parametric coverage refutation
+    // is only sound for single-writer buffers (several writers can
+    // jointly cover what none covers alone).
+    std::map<std::string, int> writers;
+    for (const OpAccess &a : plan.accesses) {
+        if (a.kind == AccessKind::Write &&
+            a.space != AccessSpace::Shared)
+            ++writers[a.buffer];
+    }
 
-        for (std::size_t i = 0; i < plan.accesses.size(); ++i) {
-            const OpAccess &a = plan.accesses[i];
-            const SymbolicAccess *twin = twinOf(i);
-            if (!twin) {
-                leaveOpen(strCat("no symbolic form for ", a.buffer,
-                                 " (access ", i, ")"));
+    for (std::size_t i = 0; i < plan.accesses.size(); ++i) {
+        const OpAccess &a = plan.accesses[i];
+        const SymbolicAccess *twin = twinOf(i);
+        if (!twin) {
+            leaveOpen(strCat("no symbolic form for ", a.buffer,
+                             " (access ", i, ")"));
+            continue;
+        }
+        const SymInterval off = twin->offset.interval(dims);
+        const SymInterval ext = twin->extent.interval(dims);
+
+        // AS803: negative offset or empty extent anywhere in range.
+        if (off.lo < 0 || ext.lo < 1) {
+            const auto *w = findWitness([&](const auto &v) {
+                return twin->offset.evalAt(v) < 0 ||
+                       twin->extent.evalAt(v) < 1;
+            });
+            if (w) {
+                refute("AS803", *w,
+                       strCat("access ", i, " on ", a.buffer,
+                              " has offset ",
+                              twin->offset.evalAt(*w), " / extent ",
+                              twin->extent.evalAt(*w)),
+                       a.node);
                 continue;
             }
-            const SymInterval off = twin->offset.interval(dims);
-            const SymInterval ext = twin->extent.interval(dims);
+            leaveOpen(strCat("offset/extent sign of ", a.buffer,
+                             " undecided"));
+            continue;
+        }
+        prove();
 
-            // AS803: negative offset or empty extent anywhere in range.
-            if (off.lo < 0 || ext.lo < 1) {
+        if (a.space == AccessSpace::Shared) {
+            // AS802: the slot span must stay inside the arena for
+            // every shape (offset and arena are usually constant;
+            // mutations make the offset shape-dependent).
+            const std::int64_t width = a.index.num_threads;
+            if (off.hi + width - 1 <= ext.lo - 1) {
+                prove();
+            } else {
                 const auto *w = findWitness([&](const auto &v) {
-                    return twin->offset.evalAt(v) < 0 ||
-                           twin->extent.evalAt(v) < 1;
+                    return twin->offset.evalAt(v) + width - 1 >=
+                           twin->extent.evalAt(v);
                 });
                 if (w) {
-                    refute("AS803", *w,
-                           strCat("access ", i, " on ", a.buffer,
-                                  " has offset ",
-                                  twin->offset.evalAt(*w), " / extent ",
+                    refute("AS802", *w,
+                           strCat("arena access ", i, " spans [",
+                                  twin->offset.evalAt(*w), ", ",
+                                  twin->offset.evalAt(*w) + width - 1,
+                                  "] past arena of ",
+                                  twin->extent.evalAt(*w), " words"),
+                           a.node);
+                } else {
+                    leaveOpen(strCat("arena span of access ", i,
+                                     " undecided"));
+                }
+            }
+            // AS821: the staged value's footprint must fit its
+            // fixed-capacity slot at every shape. Writes only: the
+            // producer stages the value, readers reuse the slot.
+            if (a.kind == AccessKind::Write) {
+                const std::int64_t spread =
+                    partitionSpread(a.op_index);
+                const SymInterval value =
+                    twin->value_extent.interval(dims);
+                if (ceilDiv(value.hi, spread) <= width) {
+                    prove();
+                } else {
+                    const auto *w = findWitness([&](const auto &v) {
+                        return ceilDiv(twin->value_extent.evalAt(v),
+                                       spread) > width;
+                    });
+                    if (w) {
+                        refute(
+                            "AS821", *w,
+                            strCat("staged value of access ", i,
+                                   " needs ",
+                                   ceilDiv(twin->value_extent.evalAt(
+                                               *w),
+                                           spread),
+                                   " arena words but its slot holds ",
+                                   width),
+                            a.node);
+                    } else {
+                        leaveOpen(strCat("arena footprint of access ",
+                                         i, " undecided"));
+                    }
+                }
+            }
+            continue;
+        }
+
+        // Off-chip access. The canonical enumeration recomputes its
+        // serial trip count and guard from the runtime extent (the
+        // standing assumption), so in-bounds holds by construction;
+        // what remains provable is capacity, reach and coverage.
+        const AffineIndex canonical = linearEnumeration(
+            a.extent, a.index.num_blocks, a.index.num_tasks,
+            a.index.num_threads);
+        if (a.index != canonical) {
+            leaveOpen(strCat("non-canonical enumeration for ",
+                             a.buffer, " (access ", i, ")"));
+            continue;
+        }
+        prove(); // in-bounds under the recomputed guard
+
+        // AS801: a scratch buffer's capacity is fixed by the
+        // compile-time memory plan; its symbolic extent must not
+        // outgrow it anywhere in the range.
+        if (strStartsWith(a.buffer, "scratch:")) {
+            if (ext.hi <= a.extent) {
+                prove();
+            } else {
+                const auto *w = findWitness([&](const auto &v) {
+                    return twin->extent.evalAt(v) > a.extent;
+                });
+                if (w) {
+                    refute("AS801", *w,
+                           strCat(a.buffer, " needs ",
+                                  twin->extent.evalAt(*w),
+                                  " elements but was allocated for ",
+                                  a.extent),
+                           a.node);
+                } else {
+                    leaveOpen(strCat("capacity of ", a.buffer,
+                                     " undecided"));
+                }
+            }
+        }
+
+        // Elided guards are a compile-point optimization: they stay
+        // valid across the range only when the enumeration stride
+        // divides every admissible extent.
+        const std::int64_t stride = a.index.num_blocks *
+                                    a.index.num_tasks *
+                                    a.index.num_threads;
+        if (a.guard < 0 && !twin->extent.isConstant()) {
+            const std::int64_t div = twin->extent.divisibility(dims);
+            if (!(div > 0 && stride > 0 && div % stride == 0) &&
+                std::find(regrow_guards.begin(), regrow_guards.end(),
+                          a.buffer) == regrow_guards.end())
+                regrow_guards.push_back(a.buffer);
+        }
+
+        // AS804: a (single) writer must be able to reach the whole
+        // buffer at every shape — its raw enumeration span, fixed
+        // at compile time, bounds what the guard can reveal.
+        if (a.kind == AccessKind::Write) {
+            const std::int64_t raw_span = stride * a.index.num_iters;
+            if (twin->offset.isConstant() && twin->offset.c0 > 0 &&
+                writers[a.buffer] == 1) {
+                refute("AS804", candidates.front(),
+                       strCat("writes to ", a.buffer, " start at ",
+                              twin->offset.c0,
+                              ", leaving the head unwritten"),
+                       a.node);
+            } else if (ext.hi <= raw_span) {
+                prove();
+            } else if (writers[a.buffer] == 1) {
+                const auto *w = findWitness([&](const auto &v) {
+                    return twin->extent.evalAt(v) > raw_span;
+                });
+                if (w) {
+                    refute("AS804", *w,
+                           strCat("writes to ", a.buffer, " reach ",
+                                  raw_span, " elements but extent is ",
                                   twin->extent.evalAt(*w)),
                            a.node);
-                    continue;
-                }
-                leaveOpen(strCat("offset/extent sign of ", a.buffer,
-                                 " undecided"));
-                continue;
-            }
-            prove();
-
-            if (a.space == AccessSpace::Shared) {
-                // AS802: the slot span must stay inside the arena for
-                // every shape (offset and arena are usually constant;
-                // mutations make the offset shape-dependent).
-                const std::int64_t width = a.index.num_threads;
-                if (off.hi + width - 1 <= ext.lo - 1) {
-                    prove();
                 } else {
-                    const auto *w = findWitness([&](const auto &v) {
-                        return twin->offset.evalAt(v) + width - 1 >=
-                               twin->extent.evalAt(v);
-                    });
-                    if (w) {
-                        refute("AS802", *w,
-                               strCat("arena access ", i, " spans [",
-                                      twin->offset.evalAt(*w), ", ",
-                                      twin->offset.evalAt(*w) + width - 1,
-                                      "] past arena of ",
-                                      twin->extent.evalAt(*w), " words"),
-                               a.node);
-                    } else {
-                        leaveOpen(strCat("arena span of access ", i,
-                                         " undecided"));
-                    }
+                    leaveOpen(strCat("coverage of ", a.buffer,
+                                     " undecided"));
                 }
-                // AS821: the staged value's footprint must fit its
-                // fixed-capacity slot at every shape. Writes only: the
-                // producer stages the value, readers reuse the slot.
-                if (a.kind == AccessKind::Write) {
-                    const std::int64_t spread =
-                        partitionSpread(a.op_index);
-                    const SymInterval value =
-                        twin->value_extent.interval(dims);
-                    if (ceilDiv(value.hi, spread) <= width) {
-                        prove();
-                    } else {
-                        const auto *w = findWitness([&](const auto &v) {
-                            return ceilDiv(twin->value_extent.evalAt(v),
-                                           spread) > width;
-                        });
-                        if (w) {
-                            refute(
-                                "AS821", *w,
-                                strCat("staged value of access ", i,
-                                       " needs ",
-                                       ceilDiv(twin->value_extent.evalAt(
-                                                   *w),
-                                               spread),
-                                       " arena words but its slot holds ",
-                                       width),
-                                a.node);
-                        } else {
-                            leaveOpen(strCat("arena footprint of access ",
-                                             i, " undecided"));
-                        }
-                    }
-                }
-                continue;
-            }
-
-            // Off-chip access. The canonical enumeration recomputes its
-            // serial trip count and guard from the runtime extent (the
-            // standing assumption), so in-bounds holds by construction;
-            // what remains provable is capacity, reach and coverage.
-            const AffineIndex canonical = linearEnumeration(
-                a.extent, a.index.num_blocks, a.index.num_tasks,
-                a.index.num_threads);
-            if (a.index != canonical) {
-                leaveOpen(strCat("non-canonical enumeration for ",
-                                 a.buffer, " (access ", i, ")"));
-                continue;
-            }
-            prove(); // in-bounds under the recomputed guard
-
-            // AS801: a scratch buffer's capacity is fixed by the
-            // compile-time memory plan; its symbolic extent must not
-            // outgrow it anywhere in the range.
-            if (strStartsWith(a.buffer, "scratch:")) {
-                if (ext.hi <= a.extent) {
-                    prove();
-                } else {
-                    const auto *w = findWitness([&](const auto &v) {
-                        return twin->extent.evalAt(v) > a.extent;
-                    });
-                    if (w) {
-                        refute("AS801", *w,
-                               strCat(a.buffer, " needs ",
-                                      twin->extent.evalAt(*w),
-                                      " elements but was allocated for ",
-                                      a.extent),
-                               a.node);
-                    } else {
-                        leaveOpen(strCat("capacity of ", a.buffer,
-                                         " undecided"));
-                    }
-                }
-            }
-
-            // Elided guards are a compile-point optimization: they stay
-            // valid across the range only when the enumeration stride
-            // divides every admissible extent.
-            const std::int64_t stride = a.index.num_blocks *
-                                        a.index.num_tasks *
-                                        a.index.num_threads;
-            if (a.guard < 0 && !twin->extent.isConstant()) {
-                const std::int64_t div = twin->extent.divisibility(dims);
-                if (!(div > 0 && stride > 0 && div % stride == 0) &&
-                    std::find(regrow_guards.begin(), regrow_guards.end(),
-                              a.buffer) == regrow_guards.end())
-                    regrow_guards.push_back(a.buffer);
-            }
-
-            // AS804: a (single) writer must be able to reach the whole
-            // buffer at every shape — its raw enumeration span, fixed
-            // at compile time, bounds what the guard can reveal.
-            if (a.kind == AccessKind::Write) {
-                const std::int64_t raw_span = stride * a.index.num_iters;
-                if (twin->offset.isConstant() && twin->offset.c0 > 0 &&
-                    writers[a.buffer] == 1) {
-                    refute("AS804", candidates.front(),
-                           strCat("writes to ", a.buffer, " start at ",
-                                  twin->offset.c0,
-                                  ", leaving the head unwritten"),
-                           a.node);
-                } else if (ext.hi <= raw_span) {
-                    prove();
-                } else if (writers[a.buffer] == 1) {
-                    const auto *w = findWitness([&](const auto &v) {
-                        return twin->extent.evalAt(v) > raw_span;
-                    });
-                    if (w) {
-                        refute("AS804", *w,
-                               strCat("writes to ", a.buffer, " reach ",
-                                      raw_span, " elements but extent is ",
-                                      twin->extent.evalAt(*w)),
-                               a.node);
-                    } else {
-                        leaveOpen(strCat("coverage of ", a.buffer,
-                                         " undecided"));
-                    }
-                } else {
-                    leaveOpen(strCat("multi-writer coverage of ",
-                                     a.buffer, " not provable"));
-                }
+            } else {
+                leaveOpen(strCat("multi-writer coverage of ",
+                                 a.buffer, " not provable"));
             }
         }
     }
 
-    if (options.races) {
-        // Same-buffer pairs (i, j), i < j, visited in the same (i, j)
-        // order as an all-pairs scan, without touching other buffers.
-        const auto &accesses = plan.accesses;
-        const BarrierIndex barriers(plan.barriers);
-        const auto buckets = accessesByBuffer(accesses);
-        for (std::size_t i = 0; i < accesses.size(); ++i) {
-            const std::vector<std::size_t> &same =
-                buckets.at(accesses[i].buffer);
-            for (auto it = std::upper_bound(same.begin(), same.end(), i);
-                 it != same.end(); ++it) {
-                const std::size_t j = *it;
-                const OpAccess &a = accesses[i];
-                const OpAccess &b = accesses[j];
-                if (a.op_index == b.op_index)
-                    continue;
-                if (a.kind == AccessKind::Read &&
-                    b.kind == AccessKind::Read)
-                    continue;
-                const bool needs_device = a.space != AccessSpace::Shared;
-                const SymbolicAccess *ta = twinOf(i);
-                const SymbolicAccess *tb = twinOf(j);
+    // Race obligations (AS811, AS812). Same-buffer pairs (i, j),
+    // i < j, visited in the same (i, j) order as an all-pairs scan,
+    // without touching other buffers.
+    const auto &accesses = plan.accesses;
+    const BarrierIndex barriers(plan.barriers);
+    const auto buckets = accessesByBuffer(accesses);
+    for (std::size_t i = 0; i < accesses.size(); ++i) {
+        const std::vector<std::size_t> &same =
+            buckets.at(accesses[i].buffer);
+        for (auto it = std::upper_bound(same.begin(), same.end(), i);
+             it != same.end(); ++it) {
+            const std::size_t j = *it;
+            const OpAccess &a = accesses[i];
+            const OpAccess &b = accesses[j];
+            if (a.op_index == b.op_index)
+                continue;
+            if (a.kind == AccessKind::Read &&
+                b.kind == AccessKind::Read)
+                continue;
+            const bool needs_device = a.space != AccessSpace::Shared;
+            const SymbolicAccess *ta = twinOf(i);
+            const SymbolicAccess *tb = twinOf(j);
 
-                if (a.kind == AccessKind::Write &&
-                    b.kind == AccessKind::Write) {
-                    if (sameMapping(a, b)) {
-                        // Same-thread at the compile shape; stays
-                        // same-thread for every shape iff the symbolic
-                        // forms agree too.
-                        if (!ta || !tb) {
-                            leaveOpen(strCat(
-                                "write-write mapping on ", a.buffer,
-                                " lacks a symbolic form"));
-                            continue;
-                        }
-                        if (ta->extent == tb->extent &&
-                            ta->offset == tb->offset) {
-                            prove();
-                            continue;
-                        }
-                        const auto *w = findWitness([&](const auto &v) {
-                            return ta->extent.evalAt(v) !=
-                                       tb->extent.evalAt(v) ||
-                                   ta->offset.evalAt(v) !=
-                                       tb->offset.evalAt(v);
-                        });
-                        if (w) {
-                            refute("AS811", *w,
-                                   strCat("writes to ", a.buffer,
-                                          " by ops ", a.op_index, " and ",
-                                          b.op_index,
-                                          " share a mapping at the "
-                                          "compile shape but diverge"),
-                                   a.node);
-                        } else {
-                            leaveOpen(strCat("write-write mapping on ",
-                                             a.buffer, " undecided"));
-                        }
-                        continue;
-                    }
-                    if (orderedByBarrier(barriers, a.op_index, b.op_index,
-                                         needs_device)) {
-                        prove(); // barrier placement is shape-independent
-                        continue;
-                    }
-                    if (rangesOverlap(a, b)) {
-                        // The concrete verifier already reports AS711
-                        // for this pair; nothing parametric to add.
-                        leaveOpen(strCat("concrete write-write finding "
-                                         "on ",
-                                         a.buffer, " governs"));
-                        continue;
-                    }
-                    // Disjoint at the compile shape: prove it stays so.
+            if (a.kind == AccessKind::Write &&
+                b.kind == AccessKind::Write) {
+                if (sameMapping(a, b)) {
+                    // Same-thread at the compile shape; stays
+                    // same-thread for every shape iff the symbolic
+                    // forms agree too.
                     if (!ta || !tb) {
-                        leaveOpen(strCat("write-write spans on ",
-                                         a.buffer,
-                                         " lack a symbolic form"));
+                        leaveOpen(strCat(
+                            "write-write mapping on ", a.buffer,
+                            " lacks a symbolic form"));
                         continue;
                     }
-                }
-
-                if (a.kind != b.kind &&
-                    a.space != AccessSpace::Shared &&
-                    a.space != AccessSpace::Scratch)
-                    continue; // inputs/outputs have no in-kernel pairing
-
-                if (a.kind != b.kind) {
-                    if (orderedByBarrier(barriers, a.op_index, b.op_index,
-                                         needs_device)) {
+                    if (ta->extent == tb->extent &&
+                        ta->offset == tb->offset) {
                         prove();
                         continue;
                     }
-                    if (rangesOverlap(a, b)) {
-                        leaveOpen(strCat("concrete read-write finding "
-                                         "on ",
-                                         a.buffer, " governs"));
-                        continue;
+                    const auto *w = findWitness([&](const auto &v) {
+                        return ta->extent.evalAt(v) !=
+                                   tb->extent.evalAt(v) ||
+                               ta->offset.evalAt(v) !=
+                                   tb->offset.evalAt(v);
+                    });
+                    if (w) {
+                        refute("AS811", *w,
+                               strCat("writes to ", a.buffer,
+                                      " by ops ", a.op_index, " and ",
+                                      b.op_index,
+                                      " share a mapping at the "
+                                      "compile shape but diverge"),
+                               a.node);
+                    } else {
+                        leaveOpen(strCat("write-write mapping on ",
+                                         a.buffer, " undecided"));
                     }
-                    if (!ta || !tb) {
-                        leaveOpen(strCat("read-write spans on ", a.buffer,
-                                         " lack a symbolic form"));
-                        continue;
-                    }
-                }
-
-                // Both accesses are disjoint at the compile shape and
-                // unordered by any barrier: they must stay disjoint at
-                // every shape in the range.
-                const auto spanAt = [&](const OpAccess &acc,
-                                        const SymbolicAccess &twin,
-                                        const std::vector<std::int64_t>
-                                            &v) -> SymInterval {
-                    const std::int64_t lo = twin.offset.evalAt(v);
-                    const std::int64_t width =
-                        acc.space == AccessSpace::Shared
-                            ? acc.index.num_threads
-                            : twin.value_extent.evalAt(v);
-                    return SymInterval{lo, lo + std::max<std::int64_t>(
-                                                    width, 1) -
-                                               1};
-                };
-                const auto spanInterval =
-                    [&](const OpAccess &acc,
-                        const SymbolicAccess &twin) -> SymInterval {
-                    const SymInterval off = twin.offset.interval(dims);
-                    const std::int64_t width_hi =
-                        acc.space == AccessSpace::Shared
-                            ? acc.index.num_threads
-                            : twin.value_extent.interval(dims).hi;
-                    return SymInterval{off.lo,
-                                       off.hi +
-                                           std::max<std::int64_t>(
-                                               width_hi, 1) -
-                                           1};
-                };
-                const SymInterval sa = spanInterval(a, *ta);
-                const SymInterval sb = spanInterval(b, *tb);
-                if (sa.hi < sb.lo || sb.hi < sa.lo) {
-                    prove(); // interval-disjoint across the whole range
                     continue;
                 }
-                const auto *w = findWitness([&](const auto &v) {
-                    const SymInterval va = spanAt(a, *ta, v);
-                    const SymInterval vb = spanAt(b, *tb, v);
-                    return va.lo <= vb.hi && vb.lo <= va.hi;
-                });
-                if (w) {
-                    const char *code =
-                        a.kind == b.kind ? "AS811" : "AS812";
-                    refute(code, *w,
-                           strCat("accesses ", i, " and ", j, " on ",
-                                  a.buffer,
-                                  " are disjoint at the compile shape "
-                                  "but overlap"),
-                           a.node);
-                } else {
-                    leaveOpen(strCat("span separation on ", a.buffer,
-                                     " undecided"));
+                if (orderedByBarrier(barriers, a.op_index, b.op_index,
+                                     needs_device)) {
+                    prove(); // barrier placement is shape-independent
+                    continue;
                 }
+                if (rangesOverlap(a, b)) {
+                    // The concrete verifier already reports AS711
+                    // for this pair; nothing parametric to add.
+                    leaveOpen(strCat("concrete write-write finding "
+                                     "on ",
+                                     a.buffer, " governs"));
+                    continue;
+                }
+                // Disjoint at the compile shape: prove it stays so.
+                if (!ta || !tb) {
+                    leaveOpen(strCat("write-write spans on ",
+                                     a.buffer,
+                                     " lack a symbolic form"));
+                    continue;
+                }
+            }
+
+            if (a.kind != b.kind &&
+                a.space != AccessSpace::Shared &&
+                a.space != AccessSpace::Scratch)
+                continue; // inputs/outputs have no in-kernel pairing
+
+            if (a.kind != b.kind) {
+                if (orderedByBarrier(barriers, a.op_index, b.op_index,
+                                     needs_device)) {
+                    prove();
+                    continue;
+                }
+                if (rangesOverlap(a, b)) {
+                    leaveOpen(strCat("concrete read-write finding "
+                                     "on ",
+                                     a.buffer, " governs"));
+                    continue;
+                }
+                if (!ta || !tb) {
+                    leaveOpen(strCat("read-write spans on ", a.buffer,
+                                     " lack a symbolic form"));
+                    continue;
+                }
+            }
+
+            // Both accesses are disjoint at the compile shape and
+            // unordered by any barrier: they must stay disjoint at
+            // every shape in the range.
+            const auto spanAt = [&](const OpAccess &acc,
+                                    const SymbolicAccess &twin,
+                                    const std::vector<std::int64_t>
+                                        &v) -> SymInterval {
+                const std::int64_t lo = twin.offset.evalAt(v);
+                const std::int64_t width =
+                    acc.space == AccessSpace::Shared
+                        ? acc.index.num_threads
+                        : twin.value_extent.evalAt(v);
+                return SymInterval{lo, lo + std::max<std::int64_t>(
+                                                width, 1) -
+                                           1};
+            };
+            const auto spanInterval =
+                [&](const OpAccess &acc,
+                    const SymbolicAccess &twin) -> SymInterval {
+                const SymInterval off = twin.offset.interval(dims);
+                const std::int64_t width_hi =
+                    acc.space == AccessSpace::Shared
+                        ? acc.index.num_threads
+                        : twin.value_extent.interval(dims).hi;
+                return SymInterval{off.lo,
+                                   off.hi +
+                                       std::max<std::int64_t>(
+                                           width_hi, 1) -
+                                       1};
+            };
+            const SymInterval sa = spanInterval(a, *ta);
+            const SymInterval sb = spanInterval(b, *tb);
+            if (sa.hi < sb.lo || sb.hi < sa.lo) {
+                prove(); // interval-disjoint across the whole range
+                continue;
+            }
+            const auto *w = findWitness([&](const auto &v) {
+                const SymInterval va = spanAt(a, *ta, v);
+                const SymInterval vb = spanAt(b, *tb, v);
+                return va.lo <= vb.hi && vb.lo <= va.hi;
+            });
+            if (w) {
+                const char *code =
+                    a.kind == b.kind ? "AS811" : "AS812";
+                refute(code, *w,
+                       strCat("accesses ", i, " and ", j, " on ",
+                              a.buffer,
+                              " are disjoint at the compile shape "
+                              "but overlap"),
+                       a.node);
+            } else {
+                leaveOpen(strCat("span separation on ", a.buffer,
+                                 " undecided"));
             }
         }
     }
@@ -914,8 +921,7 @@ verifyKernelPlanSymbolic(const KernelPlan &plan,
 void
 certifyCompiledCluster(const Graph &graph, CompiledCluster &compiled,
                        const std::vector<ShapeDim> &dims,
-                       DiagnosticEngine &engine,
-                       const VerifierOptions &options)
+                       DiagnosticEngine &engine)
 {
     for (KernelPlan &plan : compiled.kernels) {
         if (plan.certificate.verdict != ShapeCertificate::Verdict::None)
@@ -925,7 +931,7 @@ certifyCompiledCluster(const Graph &graph, CompiledCluster &compiled,
         if (plan.sym_accesses.empty())
             attachSymbolicAccesses(graph, plan, dims);
         plan.certificate =
-            verifyKernelPlanSymbolic(plan, dims, engine, options);
+            verifyKernelPlanSymbolic(plan, dims, engine);
     }
 }
 

@@ -30,7 +30,9 @@
  *
  * Checks that need structural metadata (partitions, barrier points,
  * arena slots) skip ops that carry none, so plans from non-stitching
- * backends produce zero findings by construction.
+ * backends produce zero findings by construction. Every family always
+ * runs; a caller that wants one filters the findings by code prefix
+ * (DiagnosticEngine::withCodePrefix).
  */
 #ifndef ASTITCH_ANALYSIS_SANITIZER_H
 #define ASTITCH_ANALYSIS_SANITIZER_H
@@ -41,26 +43,14 @@
 
 namespace astitch {
 
-/** Per-family switches (all on by default). */
-struct SanitizerOptions
-{
-    bool barrier_races = true; ///< AS1xx
-    bool deadlocks = true;     ///< AS2xx
-    bool locality = true;      ///< AS3xx
-    bool lifetimes = true;     ///< AS4xx
-    bool divergence = true;    ///< AS5xx
-};
-
-/** Run every enabled check family over one kernel plan. */
+/** Run every check family over one kernel plan. */
 void sanitizeKernelPlan(const Graph &graph, const KernelPlan &plan,
-                        const GpuSpec &spec, DiagnosticEngine &engine,
-                        const SanitizerOptions &options = {});
+                        const GpuSpec &spec, DiagnosticEngine &engine);
 
 /** Sanitize every kernel of a compiled cluster. */
 void sanitizeCompiledCluster(const Graph &graph,
                              const CompiledCluster &compiled,
-                             const GpuSpec &spec, DiagnosticEngine &engine,
-                             const SanitizerOptions &options = {});
+                             const GpuSpec &spec, DiagnosticEngine &engine);
 
 } // namespace astitch
 

@@ -210,7 +210,7 @@ ArtifactCache::filePathFor(const std::string &compile_key) const
 ArtifactCache::Lease
 ArtifactCache::acquire(const std::string &compile_key, const Graph &graph,
                        const GpuSpec &spec,
-                       const AnalysisOptions &analysis,
+                       const AnalysisOptions &, // the gate takes none
                        DiagnosticEngine *events)
 {
     Lease lease;
@@ -340,7 +340,7 @@ ArtifactCache::acquire(const std::string &compile_key, const Graph &graph,
             clean = analyzeCompiledCluster(
                 graph, entry->clusters[i],
                 static_cast<const CompiledCluster &>(entry->compiled[i]),
-                spec, gate, analysis);
+                spec, gate);
         } catch (const std::exception &e) {
             return verifyRejected(
                 strCat("analyzer failed on cluster ", i, ": ", e.what()));

@@ -106,11 +106,12 @@ class ArtifactCache
 
     /**
      * Try to restore the compilation for @p compile_key, verifying any
-     * artifact found with the analyzer over (@p graph, @p spec,
-     * @p analysis) before serving it. AS62x events are reported into
-     * @p events (may be null). Never throws for disk reasons; injected
-     * faults at the cache-* sites are absorbed into their matching
-     * failure paths.
+     * artifact found with the full analyzer over (@p graph, @p spec)
+     * before serving it. The AnalysisOptions argument is ignored (the
+     * gate re-proves stored plans and certifies nothing new); it stays
+     * for existing callers. AS62x events are reported into @p events
+     * (may be null). Never throws for disk reasons; injected faults at
+     * the cache-* sites are absorbed into their matching failure paths.
      */
     Lease acquire(const std::string &compile_key, const Graph &graph,
                   const GpuSpec &spec, const AnalysisOptions &analysis,

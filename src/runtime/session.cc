@@ -458,6 +458,10 @@ Session::compileCacheKey(const Graph &graph) const
         cache_key +=
             strCat("|rung:", ladderLevelName(options_.start_ladder_level));
     }
+    // A remote-stitch bound changes the cluster set; unbounded (0) keys
+    // stay as they were so existing artifacts remain valid.
+    if (options_.max_cluster_nodes > 0)
+        cache_key += strCat("|maxc:", options_.max_cluster_nodes);
     return cache_key;
 }
 

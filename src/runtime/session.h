@@ -191,8 +191,9 @@ class Session
     JitCacheEntry compileAllClusters(const Graph &graph) const;
 
     /** Full identity key of this session's compilation (graph,
-     * backend, device, shape ranges, tuning knobs) — shared by the
-     * in-memory JIT cache and the on-disk artifact cache. */
+     * backend, device, shape ranges, tuning knobs, start rung, cluster
+     * bound) — shared by the in-memory JIT cache and the on-disk
+     * artifact cache. */
     std::string compileCacheKey(const Graph &graph) const;
 
     /** Obtain the entry through the artifact/JIT caches / fallback

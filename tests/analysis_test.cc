@@ -355,7 +355,7 @@ TEST(Sanitizer, ConcurrentlyLiveOverlapIsAS401)
 }
 
 // ---------------------------------------------------------------------
-// Unified analyzer + legacy validator shim
+// Unified analyzer
 // ---------------------------------------------------------------------
 
 TEST(Analyzer, CombinesConsistencyAndSanitizer)
@@ -369,13 +369,6 @@ TEST(Analyzer, CombinesConsistencyAndSanitizer)
                                         kV100, engine));
     EXPECT_EQ(engine.withCodePrefix("AS0").size(), 1u);
     EXPECT_EQ(engine.withCodePrefix("AS1").size(), 1u);
-
-    AnalysisOptions no_sanitize;
-    no_sanitize.sanitize = false;
-    engine.clear();
-    analyzeCompiledCluster(f.graph, f.cluster, f.compiled, kV100, engine,
-                           no_sanitize);
-    EXPECT_TRUE(engine.withCodePrefix("AS1").empty());
 }
 
 TEST(Analyzer, ConsistencyFindingsCarryCodes)
@@ -383,11 +376,11 @@ TEST(Analyzer, ConsistencyFindingsCarryCodes)
     SharedChainFixture f;
     f.compiled.kernels[0].launch.block = 4096;
     DiagnosticEngine engine;
-    analyzeCompiledCluster(f.graph, f.cluster, f.compiled, kV100, engine,
-                           AnalysisOptions::consistencyOnly());
-    ASSERT_EQ(engine.size(), 1u);
-    EXPECT_EQ(engine.diagnostics()[0].code, "AS005");
-    EXPECT_NE(engine.diagnostics()[0].message.find("illegal block size"),
+    analyzeCompiledCluster(f.graph, f.cluster, f.compiled, kV100, engine);
+    const auto found = engine.withCodePrefix("AS0");
+    ASSERT_EQ(found.size(), 1u) << engine.renderText();
+    EXPECT_EQ(found[0].code, "AS005");
+    EXPECT_NE(found[0].message.find("illegal block size"),
               std::string::npos);
 }
 

@@ -18,6 +18,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <functional>
@@ -50,16 +51,26 @@ soleCluster(const Graph &g)
     return clusters[0];
 }
 
-/** Distinct AS9xx codes in @p engine. */
+/** Distinct codes in @p engine starting with @p prefix (default: the
+ * whole AS9xx family; "AS90", "AS91", "AS92" select one check group). */
 std::set<std::string>
-as9Codes(const DiagnosticEngine &engine)
+as9Codes(const DiagnosticEngine &engine, const std::string &prefix = "AS9")
 {
     std::set<std::string> codes;
-    for (const Diagnostic &d : engine.diagnostics()) {
-        if (d.code.rfind("AS9", 0) == 0)
-            codes.insert(d.code);
-    }
+    for (const Diagnostic &d : engine.withCodePrefix(prefix))
+        codes.insert(d.code);
     return codes;
+}
+
+/** True when a finding starting with @p prefix is an Error: whether
+ * that check group alone would fail the analysis. */
+bool
+failsIn(const DiagnosticEngine &engine, const std::string &prefix)
+{
+    const std::vector<Diagnostic> found = engine.withCodePrefix(prefix);
+    return std::any_of(found.begin(), found.end(), [](const Diagnostic &d) {
+        return d.severity == Severity::Error;
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -286,18 +297,8 @@ TEST(CudaStaticMutation, WrongLaunchBoundsFiresAS913)
 }
 
 // ---------------------------------------------------------------------
-// Synthetic sources, one check group at a time.
+// Synthetic sources, judged one check group (code prefix) at a time.
 // ---------------------------------------------------------------------
-
-CudaStaticOptions
-only(bool divergence, bool crosscheck, bool lint)
-{
-    CudaStaticOptions options;
-    options.divergence = divergence;
-    options.crosscheck = crosscheck;
-    options.lint = lint;
-    return options;
-}
 
 TEST(CudaStaticSynthetic, UnparsableSourceFiresAS900)
 {
@@ -316,7 +317,7 @@ TEST(CudaStaticSynthetic, BarrierUnderThreadDivergenceFiresAS901)
     KernelPlan plan;
     plan.name = "divergent";
     DiagnosticEngine engine;
-    EXPECT_FALSE(analyzeEmittedCudaSource(
+    analyzeEmittedCudaSource(
         g,
         "extern \"C\" __global__ void k(float *a)\n"
         "{\n"
@@ -324,8 +325,9 @@ TEST(CudaStaticSynthetic, BarrierUnderThreadDivergenceFiresAS901)
         "        __syncthreads();\n"
         "    }\n"
         "}\n",
-        plan, kV100, engine, only(true, false, false)));
-    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS901"});
+        plan, kV100, engine);
+    EXPECT_TRUE(failsIn(engine, "AS90")) << engine.renderText();
+    EXPECT_EQ(as9Codes(engine, "AS90"), std::set<std::string>{"AS901"});
 }
 
 TEST(CudaStaticSynthetic, GridBarrierUnderBlockDivergenceFiresAS901)
@@ -334,7 +336,7 @@ TEST(CudaStaticSynthetic, GridBarrierUnderBlockDivergenceFiresAS901)
     KernelPlan plan;
     plan.name = "divergent_grid";
     DiagnosticEngine engine;
-    EXPECT_FALSE(analyzeEmittedCudaSource(
+    analyzeEmittedCudaSource(
         g,
         "__device__ void grid_barrier(volatile int *a,"
         " volatile int *d) { __syncthreads(); }\n"
@@ -344,8 +346,9 @@ TEST(CudaStaticSynthetic, GridBarrierUnderBlockDivergenceFiresAS901)
         "        grid_barrier(barrier_state + 0, barrier_state + 1);\n"
         "    }\n"
         "}\n",
-        plan, kV100, engine, only(true, false, false)));
-    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS901"});
+        plan, kV100, engine);
+    EXPECT_TRUE(failsIn(engine, "AS90")) << engine.renderText();
+    EXPECT_EQ(as9Codes(engine, "AS90"), std::set<std::string>{"AS901"});
 }
 
 TEST(CudaStaticSynthetic, BarrierInDeadCodeFiresAS902)
@@ -354,8 +357,8 @@ TEST(CudaStaticSynthetic, BarrierInDeadCodeFiresAS902)
     KernelPlan plan;
     plan.name = "dead";
     DiagnosticEngine engine;
-    // AS902 is Warning severity: the analysis still passes.
-    EXPECT_TRUE(analyzeEmittedCudaSource(
+    // AS902 is Warning severity: on its own it fails nothing.
+    analyzeEmittedCudaSource(
         g,
         "extern \"C\" __global__ void k(float *a)\n"
         "{\n"
@@ -363,8 +366,9 @@ TEST(CudaStaticSynthetic, BarrierInDeadCodeFiresAS902)
         "        __syncthreads();\n"
         "    }\n"
         "}\n",
-        plan, kV100, engine, only(true, false, false)));
-    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS902"});
+        plan, kV100, engine);
+    EXPECT_FALSE(failsIn(engine, "AS90")) << engine.renderText();
+    EXPECT_EQ(as9Codes(engine, "AS90"), std::set<std::string>{"AS902"});
 }
 
 TEST(CudaStaticSynthetic, UndeclaredBufferAccessFiresAS914)
@@ -380,7 +384,7 @@ TEST(CudaStaticSynthetic, UndeclaredBufferAccessFiresAS914)
     access.kind = AccessKind::Read;
     plan.accesses.push_back(access);
     DiagnosticEngine engine;
-    EXPECT_FALSE(analyzeEmittedCudaSource(
+    analyzeEmittedCudaSource(
         g,
         "extern \"C\" __global__ void\n"
         "__launch_bounds__(256)\n"
@@ -389,8 +393,9 @@ TEST(CudaStaticSynthetic, UndeclaredBufferAccessFiresAS914)
         "    const long elem = threadIdx.x;\n"
         "    out[elem] = v_ghost[elem];\n"
         "}\n",
-        plan, kV100, engine, only(false, true, false)));
-    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS914"});
+        plan, kV100, engine);
+    EXPECT_TRUE(failsIn(engine, "AS91")) << engine.renderText();
+    EXPECT_EQ(as9Codes(engine, "AS91"), std::set<std::string>{"AS914"});
 }
 
 TEST(CudaStaticSynthetic, NonVolatileBarrierFlagsFireAS921)
@@ -399,7 +404,7 @@ TEST(CudaStaticSynthetic, NonVolatileBarrierFlagsFireAS921)
     KernelPlan plan;
     plan.name = "hoistable";
     DiagnosticEngine engine;
-    EXPECT_FALSE(analyzeEmittedCudaSource(
+    analyzeEmittedCudaSource(
         g,
         "__device__ void grid_barrier(int *arrive, int *depart)\n"
         "{\n"
@@ -409,8 +414,9 @@ TEST(CudaStaticSynthetic, NonVolatileBarrierFlagsFireAS921)
         "{\n"
         "    grid_barrier(barrier_state + 0, barrier_state + 1);\n"
         "}\n",
-        plan, kV100, engine, only(false, false, true)));
-    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS921"});
+        plan, kV100, engine);
+    EXPECT_TRUE(failsIn(engine, "AS92")) << engine.renderText();
+    EXPECT_EQ(as9Codes(engine, "AS92"), std::set<std::string>{"AS921"});
 }
 
 TEST(CudaStaticSynthetic, UnbarrieredSmemWriteFiresAS922)
@@ -419,8 +425,8 @@ TEST(CudaStaticSynthetic, UnbarrieredSmemWriteFiresAS922)
     KernelPlan plan;
     plan.name = "racy";
     DiagnosticEngine engine;
-    // AS922 is Warning severity: the analysis still passes.
-    EXPECT_TRUE(analyzeEmittedCudaSource(
+    // AS922 is Warning severity: on its own it fails nothing.
+    analyzeEmittedCudaSource(
         g,
         "extern \"C\" __global__ void k(float *out)\n"
         "{\n"
@@ -428,8 +434,9 @@ TEST(CudaStaticSynthetic, UnbarrieredSmemWriteFiresAS922)
         "    smem[threadIdx.x % 32] = 1.0f;\n"
         "    out[threadIdx.x] = smem[0];\n"
         "}\n",
-        plan, kV100, engine, only(false, false, true)));
-    EXPECT_EQ(as9Codes(engine), std::set<std::string>{"AS922"});
+        plan, kV100, engine);
+    EXPECT_FALSE(failsIn(engine, "AS92")) << engine.renderText();
+    EXPECT_EQ(as9Codes(engine, "AS92"), std::set<std::string>{"AS922"});
 }
 
 // ---------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 
 #include "analysis/kernel_verifier.h"
@@ -50,25 +51,18 @@ compiledWorkloads()
     return *cache;
 }
 
-/** Every check family off; tests switch on exactly the one under test
- * so a seeded mutation cannot leak findings across families. */
-VerifierOptions
-noChecks()
-{
-    VerifierOptions options;
-    options.bounds = options.races = options.coalescing = false;
-    options.bank_conflicts = options.recompute = false;
-    options.cost_check = false;
-    return options;
-}
-
+/**
+ * Verify @p plan and return the codes of its findings whose code starts
+ * with @p prefix ("AS70" bounds, "AS71" races, "AS72" coalescing, ...),
+ * so a seeded mutation is judged only within its own check family.
+ */
 std::vector<std::string>
-verify(const Graph &graph, const KernelPlan &plan,
-       const VerifierOptions &options, DiagnosticEngine &engine)
+verify(const Graph &graph, const KernelPlan &plan, const std::string &prefix,
+       DiagnosticEngine &engine)
 {
-    verifyKernelPlan(graph, plan, kV100, engine, options);
+    verifyKernelPlan(graph, plan, kV100, engine);
     std::vector<std::string> codes;
-    for (const Diagnostic &d : engine.diagnostics())
+    for (const Diagnostic &d : engine.withCodePrefix(prefix))
         codes.push_back(d.code);
     return codes;
 }
@@ -266,10 +260,8 @@ TEST(KernelVerifier, DroppedGuardIsAS701)
                 continue;
             KernelPlan mutated = seed;
             mutated.accesses[i].guard = -1; // lost bounds predicate
-            VerifierOptions options = noChecks();
-            options.bounds = true;
             DiagnosticEngine engine;
-            const auto codes = verify(graph, mutated, options, engine);
+            const auto codes = verify(graph, mutated, "AS70", engine);
             EXPECT_EQ(codes, std::vector<std::string>{"AS701"})
                 << engine.renderText();
             return true;
@@ -288,10 +280,8 @@ TEST(KernelVerifier, MisalignedArenaOffsetIsAS702)
             KernelPlan mutated = seed;
             // Slide the slot past the end of the arena.
             mutated.accesses[i].index.offset += a.extent;
-            VerifierOptions options = noChecks();
-            options.bounds = true;
             DiagnosticEngine engine;
-            const auto codes = verify(graph, mutated, options, engine);
+            const auto codes = verify(graph, mutated, "AS70", engine);
             EXPECT_EQ(codes, std::vector<std::string>{"AS702"})
                 << engine.renderText();
             return true;
@@ -313,10 +303,8 @@ TEST(KernelVerifier, NegativeIndexIsAS703)
                 continue;
             KernelPlan mutated = seed;
             mutated.accesses[i].index.offset = -1;
-            VerifierOptions options = noChecks();
-            options.bounds = true;
             DiagnosticEngine engine;
-            const auto codes = verify(graph, mutated, options, engine);
+            const auto codes = verify(graph, mutated, "AS70", engine);
             EXPECT_EQ(codes, std::vector<std::string>{"AS703"})
                 << engine.renderText();
             return true;
@@ -344,10 +332,8 @@ TEST(KernelVerifier, ShrunkenTaskLoopIsAS704)
                 continue; // would still cover the buffer
             KernelPlan mutated = seed;
             mutated.accesses[i].index = shrunk;
-            VerifierOptions options = noChecks();
-            options.bounds = true;
             DiagnosticEngine engine;
-            const auto codes = verify(graph, mutated, options, engine);
+            const auto codes = verify(graph, mutated, "AS70", engine);
             EXPECT_EQ(codes, std::vector<std::string>{"AS704"})
                 << engine.renderText();
             return true;
@@ -376,11 +362,8 @@ TEST(KernelVerifier, UnorderedOverlappingWritesAreAS711)
                 forged.op_index = other;
                 forged.index.offset += 1; // different mapping, overlaps
                 mutated.accesses.push_back(forged);
-                VerifierOptions options = noChecks();
-                options.races = true;
                 DiagnosticEngine engine;
-                const auto codes =
-                    verify(graph, mutated, options, engine);
+                const auto codes = verify(graph, mutated, "AS71", engine);
                 EXPECT_EQ(codes, std::vector<std::string>{"AS711"})
                     << engine.renderText();
                 return true;
@@ -415,11 +398,8 @@ TEST(KernelVerifier, RemovedBarrierIsAS712)
                 if (removed == mutated.barriers.end())
                     continue; // pair was never barrier-ordered
                 mutated.barriers.erase(removed, mutated.barriers.end());
-                VerifierOptions options = noChecks();
-                options.races = true;
                 DiagnosticEngine engine;
-                const auto codes =
-                    verify(graph, mutated, options, engine);
+                const auto codes = verify(graph, mutated, "AS71", engine);
                 EXPECT_FALSE(codes.empty());
                 for (const std::string &code : codes)
                     EXPECT_EQ(code, "AS712") << engine.renderText();
@@ -439,10 +419,8 @@ TEST(KernelVerifier, CorruptedStrideIsAS721)
                 continue;
             KernelPlan mutated = seed;
             mutated.accesses[i].warp_stride = 32; // fully scattered warp
-            VerifierOptions options = noChecks();
-            options.coalescing = true;
             DiagnosticEngine engine;
-            const auto codes = verify(graph, mutated, options, engine);
+            const auto codes = verify(graph, mutated, "AS72", engine);
             EXPECT_EQ(codes, std::vector<std::string>{"AS721"})
                 << engine.renderText();
             return true;
@@ -459,10 +437,8 @@ TEST(KernelVerifier, StridedArenaAccessIsAS731)
                 continue;
             KernelPlan mutated = seed;
             mutated.accesses[i].warp_stride = 32; // all lanes on bank 0
-            VerifierOptions options = noChecks();
-            options.bank_conflicts = true;
             DiagnosticEngine engine;
-            const auto codes = verify(graph, mutated, options, engine);
+            const auto codes = verify(graph, mutated, "AS73", engine);
             EXPECT_EQ(codes, std::vector<std::string>{"AS731"})
                 << engine.renderText();
             return true;
@@ -478,10 +454,8 @@ TEST(KernelVerifier, RecomputeBlowupIsAS741)
             return false;
         KernelPlan mutated = seed;
         mutated.ops[0].recompute_factor = 64.0; // Fig. 5 style inlining
-        VerifierOptions options = noChecks();
-        options.recompute = true;
         DiagnosticEngine engine;
-        const auto codes = verify(graph, mutated, options, engine);
+        const auto codes = verify(graph, mutated, "AS74", engine);
         EXPECT_EQ(codes, std::vector<std::string>{"AS741"})
             << engine.renderText();
         return true;
@@ -507,14 +481,158 @@ TEST(KernelVerifier, CorruptedLoadFactorIsAS751)
             return false; // too small to clear the tolerance floor
         KernelPlan mutated = seed;
         mutated.accesses[best].repeat *= 8.0;
-        VerifierOptions options = noChecks();
-        options.cost_check = true;
         DiagnosticEngine engine;
-        const auto codes = verify(graph, mutated, options, engine);
+        const auto codes = verify(graph, mutated, "AS75", engine);
         EXPECT_EQ(codes, std::vector<std::string>{"AS751"})
             << engine.renderText();
         return true;
     });
+}
+
+// ---------------------------------------------------------------------
+// Lint thresholds: each fires exactly at its documented boundary.
+// ---------------------------------------------------------------------
+
+TEST(KernelVerifier, CoalescingLintFiresAtFourTimesTheIdealSectors)
+{
+    forFirstMatchingKernel([](const Graph &graph, const KernelPlan &seed) {
+        for (std::size_t i = 0; i < seed.accesses.size(); ++i) {
+            const OpAccess &a = seed.accesses[i];
+            if (a.space == AccessSpace::Shared || !a.counts_traffic)
+                continue;
+            // The smallest stride whose warp needs exactly 4x the
+            // sectors of a stride-1 warp; one less stays below 4x.
+            const std::int64_t ideal = sectorsPerWarp(1, a.elem_bytes);
+            std::int64_t stride = 1;
+            while (sectorsPerWarp(stride, a.elem_bytes) < 4 * ideal)
+                ++stride;
+            if (sectorsPerWarp(stride, a.elem_bytes) != 4 * ideal)
+                continue;
+            for (const std::int64_t s : {stride - 1, stride}) {
+                KernelPlan mutated = seed;
+                mutated.accesses[i].warp_stride = s;
+                DiagnosticEngine engine;
+                const auto codes = verify(graph, mutated, "AS72", engine);
+                if (s == stride) {
+                    EXPECT_EQ(codes, std::vector<std::string>{"AS721"})
+                        << "stride " << s << "\n" << engine.renderText();
+                } else {
+                    EXPECT_TRUE(codes.empty())
+                        << "stride " << s << "\n" << engine.renderText();
+                }
+            }
+            return true;
+        }
+        return false;
+    });
+}
+
+TEST(KernelVerifier, RecomputeLintFiresAboveSixteen)
+{
+    forFirstMatchingKernel([](const Graph &graph, const KernelPlan &seed) {
+        if (seed.ops.empty())
+            return false;
+        KernelPlan mutated = seed;
+        mutated.ops[0].recompute_factor = 16.0;
+        DiagnosticEngine at_threshold;
+        EXPECT_TRUE(verify(graph, mutated, "AS74", at_threshold).empty())
+            << at_threshold.renderText();
+
+        mutated.ops[0].recompute_factor = std::nextafter(16.0, 17.0);
+        DiagnosticEngine above;
+        EXPECT_EQ(verify(graph, mutated, "AS74", above),
+                  std::vector<std::string>{"AS741"})
+            << above.renderText();
+        return true;
+    });
+}
+
+/** A read the verifier counts as DRAM traffic. */
+bool
+isCountedRead(const OpAccess &a)
+{
+    return a.kind == AccessKind::Read && a.space != AccessSpace::Shared &&
+           a.counts_traffic;
+}
+
+/**
+ * Rewrite @p seed (which has a counted read) so the verifier derives
+ * exactly @p reads read transactions: every read stops counting
+ * traffic except one forged single-element read whose repeat factor
+ * carries the whole count.
+ */
+KernelPlan
+withReadTransactions(const KernelPlan &seed, double reads)
+{
+    KernelPlan plan = seed;
+    OpAccess forged = *std::find_if(plan.accesses.begin(),
+                                    plan.accesses.end(), isCountedRead);
+    for (OpAccess &a : plan.accesses) {
+        if (a.kind == AccessKind::Read)
+            a.counts_traffic = false;
+    }
+    forged.index.offset = 0;
+    forged.guard = 1; // one element, coalesced: one sector
+    forged.warp_stride = 1;
+    forged.repeat = reads;
+    plan.accesses.push_back(forged);
+    EXPECT_DOUBLE_EQ(staticTransactionCounts(plan).read_transactions,
+                     reads);
+    return plan;
+}
+
+/**
+ * AS751 on the first seed kernel whose modeled read transactions
+ * satisfy @p pick: silent when the verifier's count sits exactly at
+ * the tolerance max(5% of the model, 16 transactions) above the
+ * model, firing half a transaction further out.
+ */
+template <typename Pick>
+void
+expectCostToleranceEdge(Pick &&pick)
+{
+    forFirstMatchingKernel([&](const Graph &graph, const KernelPlan &seed) {
+        if (std::none_of(seed.accesses.begin(), seed.accesses.end(),
+                         isCountedRead))
+            return false;
+        const double model = static_cast<double>(
+            CostModel(kV100)
+                .priceKernel(workDescFor(graph, seed))
+                .dram_read_transactions);
+        if (!pick(model))
+            return false;
+        const double allowed = std::max(0.05 * model, 16.0);
+        // The largest count still within tolerance (model + allowed,
+        // stepped down if that sum rounded past the edge).
+        double edge = model + allowed;
+        while (edge - model > allowed)
+            edge = std::nextafter(edge, 0.0);
+
+        DiagnosticEngine at_edge;
+        EXPECT_TRUE(verify(graph, withReadTransactions(seed, edge), "AS75",
+                           at_edge)
+                        .empty())
+            << "model " << model << "\n" << at_edge.renderText();
+
+        DiagnosticEngine outside;
+        EXPECT_EQ(verify(graph, withReadTransactions(seed, edge + 0.5),
+                         "AS75", outside),
+                  std::vector<std::string>{"AS751"})
+            << "model " << model << "\n" << outside.renderText();
+        return true;
+    });
+}
+
+TEST(KernelVerifier, CostCheckToleranceFloorIsSixteenTransactions)
+{
+    // 5% of a model count below 320 is under the 16-transaction floor.
+    expectCostToleranceEdge([](double model) { return model < 300.0; });
+}
+
+TEST(KernelVerifier, CostCheckToleranceIsFivePercentOfTheModel)
+{
+    // Far enough above 320 that 5% clears the floor by a margin.
+    expectCostToleranceEdge([](double model) { return model > 2000.0; });
 }
 
 // ---------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "backends/xla/xla_backend.h"
 #include "core/astitch_backend.h"
 #include "core/cuda_emitter.h"
+#include "runtime/jit_cache.h"
 #include "runtime/session.h"
 #include "support/logging.h"
 #include "test_graphs.h"
@@ -150,6 +151,33 @@ TEST(SessionOptions, MaxClusterNodesBoundsRemoteStitching)
     bounded.max_cluster_nodes = 2;
     Session some(g, std::make_unique<AStitchBackend>(), bounded);
     EXPECT_EQ(some.profile().num_clusters, 4);
+}
+
+TEST(SessionOptions, MaxClusterNodesIsPartOfTheJitCacheKey)
+{
+    Graph g;
+    GraphBuilder b(g);
+    for (int i = 0; i < 8; ++i)
+        g.markOutput(b.tanh(b.parameter({32})));
+
+    JitCache::global().clear();
+    SessionOptions unbounded;
+    unbounded.use_jit_cache = true;
+    Session all(g, std::make_unique<AStitchBackend>(), unbounded);
+    EXPECT_EQ(all.profile().num_clusters, 1);
+    // The unbounded key is the plain graph/backend/device key, so
+    // artifacts written before the bound joined the key stay valid.
+    EXPECT_NE(JitCache::global().lookup(
+                  JitCache::makeKey(g, "astitch", unbounded.spec)),
+              nullptr);
+
+    // A bounded session must not be served the unbounded compile.
+    SessionOptions bounded = unbounded;
+    bounded.max_cluster_nodes = 2;
+    Session some(g, std::make_unique<AStitchBackend>(), bounded);
+    EXPECT_EQ(some.profile().num_clusters, 4);
+    EXPECT_EQ(JitCache::global().size(), 2u);
+    JitCache::global().clear();
 }
 
 TEST(SessionOptions, DifferentGpusChangeTimes)

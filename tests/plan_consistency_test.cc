@@ -29,9 +29,8 @@ consistencyFindings(const Graph &graph, const Cluster &cluster,
                     const CompiledCluster &compiled, const GpuSpec &spec)
 {
     DiagnosticEngine engine;
-    analyzeCompiledCluster(graph, cluster, compiled, spec, engine,
-                           AnalysisOptions::consistencyOnly());
-    return engine.diagnostics();
+    analyzeCompiledCluster(graph, cluster, compiled, spec, engine);
+    return engine.withCodePrefix("AS0");
 }
 
 /** A trivially valid 1-op cluster + plan to mutate. */
@@ -67,9 +66,8 @@ TEST(PlanConsistency, AcceptsAValidPlan)
         consistencyFindings(f.graph, f.cluster, f.compiled, kV100)
             .empty());
     DiagnosticEngine engine;
-    EXPECT_TRUE(analyzeCompiledCluster(
-        f.graph, f.cluster, f.compiled, kV100, engine,
-        AnalysisOptions::consistencyOnly()));
+    EXPECT_TRUE(analyzeCompiledCluster(f.graph, f.cluster, f.compiled,
+                                       kV100, engine));
 }
 
 TEST(PlanConsistency, CatchesOversizedBlock)
@@ -81,9 +79,8 @@ TEST(PlanConsistency, CatchesOversizedBlock)
     ASSERT_FALSE(defects.empty());
     EXPECT_NE(defects[0].message.find("block size"), std::string::npos);
     DiagnosticEngine engine;
-    EXPECT_FALSE(analyzeCompiledCluster(
-        f.graph, f.cluster, f.compiled, kV100, engine,
-        AnalysisOptions::consistencyOnly()));
+    EXPECT_FALSE(analyzeCompiledCluster(f.graph, f.cluster, f.compiled,
+                                        kV100, engine));
 }
 
 TEST(PlanConsistency, CatchesRegisterAndSmemViolations)
