@@ -141,7 +141,7 @@ printPassBreakdown()
                         t.scheduling_ms);
         }
     }
-    std::printf("(* CPU time summed across pool workers — can exceed "
+    std::printf("(* CPU time summed across compile threads — can exceed "
                 "the wall-clock parallel column)\n");
 }
 

@@ -44,7 +44,7 @@ class Backend
      * Compile one memory-intensive cluster into kernel plans.
      *
      * Must be stateless with respect to the backend instance: the
-     * session fans clusters out across a thread pool and calls this
+     * session fans clusters out across threads and calls this
      * concurrently on the same backend, so implementations may read
      * configuration members but must not mutate any shared state.
      */

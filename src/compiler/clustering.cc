@@ -133,7 +133,7 @@ constexpr std::size_t kMembershipBitmapThreshold = 64;
 
 /** Reusable stamp array: stamp[n] == epoch marks n a member. Epochs make
  * re-initialization O(cluster), not O(graph). Thread-local because
- * makeCluster runs inside the PR-2 compile pool. */
+ * makeCluster runs on the parallel compile's threads. */
 thread_local std::vector<std::uint32_t> t_member_stamp;
 thread_local std::uint32_t t_member_epoch = 0;
 

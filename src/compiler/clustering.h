@@ -102,7 +102,7 @@ std::vector<Cluster> remoteStitchReference(const Graph &graph,
 
 // ---------------------------------------------------------------------
 // Scratch-memory accounting (bench/ext_compile_scale's "peak scratch
-// bytes" column). Thread-local, so the PR-2 compile pool never races it.
+// bytes" column). Thread-local, so the parallel compile never races it.
 // ---------------------------------------------------------------------
 
 struct ClusteringScratchStats

@@ -42,12 +42,12 @@ LaunchConfig configureLaunch(const GpuSpec &spec, std::int64_t logical_grid,
                              bool needs_global_barrier);
 
 /**
- * Reference (pre-optimization) implementation of configureLaunch(): the
- * relax step scans register budgets linearly and every occupancy query
- * recomputes. Retained for the equivalence property tests and the
- * compile-scale benchmark; configureLaunch() must return bit-identical
- * LaunchConfigs (the relaxed predicate is monotone in regs, so binary
- * search finds the same bound the scan does).
+ * Reference implementation of configureLaunch(): the relax step scans
+ * register budgets linearly instead of binary-searching them. Retained
+ * as the oracle of the equivalence property tests and the compile-scale
+ * benchmark; configureLaunch() must return bit-identical LaunchConfigs
+ * (the relaxed predicate is monotone in regs, so binary search finds the
+ * same bound the scan does).
  */
 LaunchConfig configureLaunchReference(const GpuSpec &spec,
                                       std::int64_t logical_grid, int block,

@@ -21,9 +21,9 @@ namespace astitch {
  * compiling thread and sum to roughly the session's compile_ms.
  * CPU-sum fields (backend_compile_ms, analysis_ms, autotune_ms)
  * accumulate across
- * the PR-2 compile pool's workers, so with N threads they can exceed
- * parallel_section_ms — their ratio to it is the pool's effective
- * parallel speedup.
+ * the parallel compile's threads, so with N threads they can exceed
+ * parallel_section_ms — their ratio to it is the effective parallel
+ * speedup.
  */
 struct CompilePassTimings
 {
@@ -34,7 +34,7 @@ struct CompilePassTimings
     double remote_stitch_ms = 0.0;
 
     /** Per-cluster backend codegen (fallback ladder included) — CPU
-     * time summed over all pool workers. */
+     * time summed over all compile threads. */
     double backend_compile_ms = 0.0;
 
     /** Per-cluster plan analysis — CPU time summed over all workers. */

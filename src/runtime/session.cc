@@ -263,7 +263,7 @@ Session::compileAllClusters(const Graph &graph) const
     // graph/backend/spec. The ladder contains each cluster's failures
     // inside its own body, so (fail_fast aside) nothing propagates
     // through parallelFor except faults of the task layer itself.
-    // CPU time per pass, summed across pool workers. Accumulated in
+    // CPU time per pass, summed across compile threads. Accumulated in
     // integer nanoseconds: atomic<double>::fetch_add is not universally
     // lock-free and loses precision under contention.
     std::atomic<std::int64_t> backend_compile_ns{0};
@@ -404,9 +404,9 @@ Session::compileAllClusters(const Graph &graph) const
             if (options_.fail_fast)
                 throw;
         }
-        // The pooled path failed even though every cluster body is
+        // The threaded path failed even though every cluster body is
         // contained: the task layer itself is faulty. The serial path
-        // has no pooled tasks, so it bypasses that layer entirely.
+        // starts no threads, so it bypasses that layer entirely.
         resetSlots();
         entry.degradation.serial_fallback = true;
         parallelFor(1, n, compileOne);

@@ -64,11 +64,11 @@ struct SessionOptions
 
     /**
      * Threads for per-cluster JIT compilation + analysis. Clusters are
-     * independent, so compilation fans out across a work-queue pool;
+     * independent, so compilation fans out across parallelFor threads;
      * results commit in cluster order, so any thread count produces
      * bit-identical plans, diagnostics and reports. 0 resolves through
      * $ASTITCH_COMPILE_THREADS, then hardware concurrency; 1 is fully
-     * serial (no pool).
+     * serial (no threads started).
      */
     int compile_threads = 0;
 

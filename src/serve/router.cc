@@ -35,7 +35,9 @@ ServeRouter::ServeRouter(std::vector<TenantSpec> tenants,
         session_options.session = options_.session;
         session_options.bucket_to_power_of_two =
             options_.bucket_to_power_of_two;
-        session_options.symbolic_verify = options_.symbolic_verify;
+        // No AS8xx certification per bucket: in the serving path
+        // compile latency is the contended resource.
+        session_options.symbolic_verify = false;
         session_options.dim_names = {spec.dim_name};
         session_options.dim_divisors = {spec.divisor};
         tenant.session = std::make_unique<DynamicSession>(

@@ -63,10 +63,6 @@ struct RouterOptions
     /** Shape bucketing of the dynamic dim (DynamicSessionOptions). */
     bool bucket_to_power_of_two = true;
 
-    /** AS8xx certification per bucket — off by default in the serving
-     * path, where compile latency is the contended resource. */
-    bool symbolic_verify = false;
-
     /** Enable the degraded-serve path. Off = every batch waits for
      * its full-stitch compilation. */
     bool load_shedding = true;

@@ -1,9 +1,12 @@
 #include "support/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "support/fault_injection.h"
 #include "support/logging.h"
@@ -29,150 +32,6 @@ resolveCompileThreads(int requested)
     return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(int num_threads)
-    : num_threads_(num_threads < 1 ? 1 : num_threads)
-{
-    workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));
-    for (int i = 0; i < num_threads_ - 1; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        shutdown_ = true;
-    }
-    wake_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    // A pool of one has no workers — the caller is the pool.
-    if (workers_.empty()) {
-        task();
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        panicIf(shutdown_, "submit() on a shut-down thread pool");
-        queue_.push_back(std::move(task));
-    }
-    wake_.notify_one();
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock,
-                       [this] { return shutdown_ || !queue_.empty(); });
-            if (queue_.empty())
-                return; // shutdown with a drained queue
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        task();
-    }
-}
-
-void
-ThreadPool::helpDrain()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (queue_.empty())
-                return;
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        task();
-    }
-}
-
-void
-parallelFor(ThreadPool &pool, std::size_t n,
-            const std::function<void(std::size_t)> &body)
-{
-    if (n == 0)
-        return;
-    if (pool.numThreads() <= 1 || n == 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            body(i);
-        return;
-    }
-
-    // Shared completion state. Tasks only touch their own slot of
-    // `errors`, so the vector needs no lock. The caller waits for every
-    // helper *task* to exit (not just for every index to finish) so no
-    // helper can touch this frame after parallelFor returns.
-    struct State
-    {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::exception_ptr> errors;
-        std::mutex mutex;
-        std::size_t exited = 0;
-        std::condition_variable all_exited;
-    };
-    State state;
-    state.errors.resize(n);
-
-    // One claim-an-index task per worker instead of one task per index:
-    // cluster counts reach 10^4 while queue slots stay O(threads).
-    auto runOne = [&state, &body, n]() -> bool {
-        const std::size_t i =
-            state.next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n)
-            return false;
-        try {
-            // Pooled path only: the serial loops above never pass here,
-            // so a permanent "thread-pool-task" fault is recoverable by
-            // recompiling with threads == 1.
-            faultPoint("thread-pool-task");
-            body(i);
-        } catch (...) {
-            state.errors[i] = std::current_exception();
-        }
-        return true;
-    };
-
-    const int helpers = pool.numThreads() - 1;
-    for (int t = 0; t < helpers; ++t) {
-        pool.submit([runOne, &state] {
-            while (runOne()) {
-            }
-            std::lock_guard<std::mutex> lock(state.mutex);
-            ++state.exited;
-            state.all_exited.notify_all();
-        });
-    }
-    // The caller claims indices too — it guarantees progress even if
-    // every worker is busy with someone else's tasks.
-    while (runOne()) {
-    }
-    // All indices are claimed once the caller's loop exits; once every
-    // helper has also exited, every claimed body(i) has finished.
-    {
-        std::unique_lock<std::mutex> lock(state.mutex);
-        state.all_exited.wait(lock, [&state, helpers] {
-            return state.exited == static_cast<std::size_t>(helpers);
-        });
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-        if (state.errors[i])
-            std::rethrow_exception(state.errors[i]);
-    }
-}
-
 void
 parallelFor(int num_threads, std::size_t n,
             const std::function<void(std::size_t)> &body)
@@ -182,8 +41,52 @@ parallelFor(int num_threads, std::size_t n,
             body(i);
         return;
     }
-    ThreadPool pool(num_threads);
-    parallelFor(pool, n, body);
+
+    // Each index writes only its own slot of `errors`, so the vector
+    // needs no lock; the joins below order those writes before the scan.
+    std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> errors(n);
+    auto drain = [&] {
+        for (;;) {
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                return;
+            try {
+                // Threaded path only: the serial loop above never passes
+                // here, so a permanent "thread-pool-task" fault is
+                // recoverable by recompiling with threads == 1.
+                faultPoint("thread-pool-task");
+                body(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }
+    };
+
+    const std::size_t helpers =
+        std::min(static_cast<std::size_t>(num_threads), n) - 1;
+    std::vector<std::thread> threads;
+    threads.reserve(helpers);
+    try {
+        for (std::size_t t = 0; t < helpers; ++t)
+            threads.emplace_back(drain);
+    } catch (...) {
+        // A helper failed to start: claim every remaining index so the
+        // running helpers stop, join them, then report the failure.
+        next.store(n, std::memory_order_relaxed);
+        for (std::thread &thread : threads)
+            thread.join();
+        throw;
+    }
+    drain();
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (std::size_t i = 0; i < n; ++i) {
+        if (errors[i])
+            std::rethrow_exception(errors[i]);
+    }
 }
 
 } // namespace astitch

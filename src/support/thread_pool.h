@@ -1,25 +1,20 @@
 /**
  * @file
- * A reusable work-queue thread pool and a parallelFor helper.
+ * parallelFor: fan independent per-index work out over plain threads.
  *
  * The JIT pipeline's per-cluster work (stitching, thread-mapping and
  * data-management planning, then sanitizer analysis) is embarrassingly
  * parallel — every cluster compiles independently of its neighbors.
- * This pool fans that work out across a fixed set of worker threads;
- * parallelFor() blocks the caller until every index has run, collects
- * the first exception (by index, so failures are deterministic under
- * any thread count) and rethrows it on the calling thread.
+ * parallelFor() starts helper threads for one call, has them and the
+ * caller claim indices from a shared counter, joins them, and rethrows
+ * the lowest-index exception (so failures are deterministic under any
+ * thread count).
  */
 #ifndef ASTITCH_SUPPORT_THREAD_POOL_H
 #define ASTITCH_SUPPORT_THREAD_POOL_H
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace astitch {
 
@@ -32,57 +27,15 @@ namespace astitch {
  */
 int resolveCompileThreads(int requested);
 
-/** Fixed-size worker pool draining a FIFO task queue. */
-class ThreadPool
-{
-  public:
-    /** Spawns max(1, num_threads) - 1 workers; the thread calling
-     * parallelFor() always contributes as the remaining worker. */
-    explicit ThreadPool(int num_threads);
-
-    /** Joins all workers (pending tasks are drained first). */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Total concurrency including the caller's thread. */
-    int numThreads() const { return num_threads_; }
-
-    /** Enqueue one task; runs on some worker eventually. */
-    void submit(std::function<void()> task);
-
-  private:
-    friend void parallelFor(ThreadPool &pool, std::size_t n,
-                            const std::function<void(std::size_t)> &body);
-
-    void workerLoop();
-
-    /** Run queued tasks on the calling thread until the queue is empty
-     * (used by parallelFor so the caller participates). */
-    void helpDrain();
-
-    int num_threads_;
-    std::vector<std::thread> workers_;
-
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    std::deque<std::function<void()>> queue_;
-    bool shutdown_ = false;
-};
-
 /**
- * Run body(i) for every i in [0, n), spread across the pool plus the
- * calling thread; returns when all indices finished. Exceptions thrown
- * by the body are captured per index and the lowest-index one is
- * rethrown on the caller — the same failure surfaces regardless of the
- * pool size or scheduling, keeping parallel compilation deterministic.
+ * Run body(i) for every i in [0, n) on the calling thread plus
+ * min(num_threads, n) - 1 helper threads; returns when all indices
+ * finished and every helper is joined. A plain serial loop (no threads,
+ * no fault point) when num_threads <= 1 or n <= 1. Exceptions thrown by
+ * the body are captured per index and the lowest-index one is rethrown
+ * on the caller — the same failure surfaces regardless of thread count
+ * or scheduling, keeping parallel compilation deterministic.
  */
-void parallelFor(ThreadPool &pool, std::size_t n,
-                 const std::function<void(std::size_t)> &body);
-
-/** Convenience overload: a transient pool of @p num_threads. Falls back
- * to a plain serial loop when num_threads <= 1 (no threads spawned). */
 void parallelFor(int num_threads, std::size_t n,
                  const std::function<void(std::size_t)> &body);
 

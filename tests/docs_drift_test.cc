@@ -68,12 +68,17 @@ parseDesignTable(const std::string &path)
         // cells[0] is the empty prefix before the leading '|'.
         if (cells.size() < 3)
             continue;
-        std::string codes = cells[1];
         // Normalize the UTF-8 en-dash to '-'.
         const std::string en_dash = "\xE2\x80\x93";
-        for (std::size_t at = codes.find(en_dash);
-             at != std::string::npos; at = codes.find(en_dash))
-            codes.replace(at, en_dash.size(), "-");
+        std::string codes;
+        for (std::size_t at = 0; at < cells[1].size();) {
+            if (cells[1].compare(at, en_dash.size(), en_dash) == 0) {
+                codes += '-';
+                at += en_dash.size();
+            } else {
+                codes += cells[1][at++];
+            }
+        }
         DocRow row;
         const std::size_t dash = codes.find('-');
         if (dash == std::string::npos) {

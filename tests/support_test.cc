@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the support library: logging, strings, rng, and the
- * thread pool behind the parallel JIT pipeline.
+ * parallelFor behind the parallel JIT pipeline.
  */
 #include <gtest/gtest.h>
 
@@ -158,17 +158,29 @@ TEST(Rng, UniformIntSingleton)
 }
 
 // ---------------------------------------------------------------------
-// ThreadPool / parallelFor
+// parallelFor
 // ---------------------------------------------------------------------
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
 {
-    for (int threads : {1, 2, 8}) {
-        std::vector<std::atomic<int>> counts(257);
-        parallelFor(threads, counts.size(),
-                    [&](std::size_t i) { counts[i].fetch_add(1); });
-        for (const auto &c : counts)
-            EXPECT_EQ(c.load(), 1);
+    // (threads, indices, back-to-back calls): more indices than threads,
+    // fewer indices than threads, as many indices as threads, and
+    // repeated calls that each start and join their own helpers.
+    struct Case
+    {
+        int threads;
+        std::size_t n;
+        int calls;
+    };
+    for (const Case c : {Case{1, 257, 1}, Case{2, 257, 1}, Case{8, 257, 1},
+                         Case{8, 3, 1}, Case{4, 4, 1}, Case{4, 100, 3}}) {
+        std::vector<std::atomic<int>> counts(c.n);
+        for (int call = 0; call < c.calls; ++call)
+            parallelFor(c.threads, counts.size(),
+                        [&](std::size_t i) { counts[i].fetch_add(1); });
+        for (const auto &count : counts)
+            EXPECT_EQ(count.load(), c.calls)
+                << c.threads << " threads, " << c.n << " indices";
     }
 }
 
@@ -182,16 +194,6 @@ TEST(ThreadPool, ParallelForZeroAndOneIndices)
         ++calls;
     });
     EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPool, PoolIsReusableAcrossParallelFors)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.numThreads(), 4);
-    std::atomic<int> total{0};
-    for (int round = 0; round < 3; ++round)
-        parallelFor(pool, 100, [&](std::size_t) { total.fetch_add(1); });
-    EXPECT_EQ(total.load(), 300);
 }
 
 TEST(ThreadPool, LowestIndexExceptionWinsDeterministically)
@@ -220,18 +222,6 @@ TEST(ThreadPool, ExceptionStillRunsRemainingIndices)
                              }),
                  PanicError);
     EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(ThreadPool, SubmitRunsDetachedTasks)
-{
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(3);
-        for (int i = 0; i < 10; ++i)
-            pool.submit([&] { ran.fetch_add(1); });
-        // Destructor drains the queue before joining.
-    }
-    EXPECT_EQ(ran.load(), 10);
 }
 
 TEST(ThreadPool, ResolveCompileThreadsHonorsRequestAndFloor)
