@@ -141,8 +141,9 @@ printPassBreakdown()
                         t.scheduling_ms);
         }
     }
-    std::printf("(* CPU time summed across compile threads — can exceed "
-                "the wall-clock parallel column)\n");
+    std::printf("(* thread CPU time summed across compile threads, "
+                "descheduled time excluded — can exceed the wall-clock "
+                "parallel column)\n");
 }
 
 /** One sweep record: compile latency of one configuration. */

@@ -1,9 +1,11 @@
 #include "analysis/cuda_static.h"
 
 #include <algorithm>
+#include <cctype>
 #include <map>
 #include <set>
-#include <sstream>
+#include <span>
+#include <string_view>
 
 #include "analysis/access_model.h"
 #include "analysis/cuda_lexer.h"
@@ -14,32 +16,48 @@ namespace astitch {
 namespace {
 
 // =====================================================================
-// Parser: the emitted C-like subset -> structured statements.
+// Program representation: statements over token ranges.
 // =====================================================================
 
-/** One parsed statement (arena-indexed tree per function). */
+using Tokens = std::span<const CudaToken>;
+
+/** Half-open index range [begin, end) into the lexed token array. */
+struct TokenRange
+{
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+};
+
+enum class BarrierKind : std::uint8_t { None, Sync, Grid, BlockReduce };
+
+/**
+ * One parsed statement. A function's statements are stored in
+ * pre-order, so a statement's subtree is the index range [self, end):
+ * a Block's children are the consecutive subtrees after it, an If's
+ * then-branch starts right after it and its else-branch (has_else)
+ * where the then-branch ends, a loop's body starts right after it.
+ */
 struct CudaStmt
 {
-    enum class Kind { Block, If, For, While, Simple };
+    enum class Kind : std::uint8_t { Block, If, For, While, Simple };
 
     Kind kind = Kind::Simple;
-    int line = 0;
-
-    std::vector<CudaToken> cond;   ///< if/while condition, for condition
-    std::vector<CudaToken> init;   ///< for initializer
-    std::vector<CudaToken> step;   ///< for step expression
-    std::vector<CudaToken> tokens; ///< Simple statement tokens (no ';')
-
-    /** Block: the statements; If: {then[, else]}; For/While: {body}. */
-    std::vector<int> children;
     bool has_else = false;
+    BarrierKind barrier = BarrierKind::None; ///< Simple statements only
+    int line = 0;
+    int end = 0; ///< one past the last statement of this subtree
+
+    TokenRange cond;   ///< if/while condition, for condition
+    TokenRange init;   ///< for initializer
+    TokenRange step;   ///< for step expression
+    TokenRange tokens; ///< Simple statement tokens (no ';')
 };
 
 /** One declared function parameter. */
 struct CudaParam
 {
-    std::string name;
-    std::string base_type;
+    std::string_view name;
+    std::string_view base_type;
     bool is_pointer = false;
     bool is_const = false;
     bool is_volatile = false;
@@ -48,40 +66,93 @@ struct CudaParam
 /** One parsed function definition. */
 struct CudaFunction
 {
-    std::string name;
+    std::string_view name;
     bool is_global = false;
     bool is_device = false;
     std::int64_t launch_bounds_block = -1;
     std::int64_t launch_bounds_min = -1;
     std::vector<CudaParam> params;
-    int body = -1; ///< index of the Block statement, -1 = no body
+    /** 0 (the body Block, first in stmts) or -1 for a declaration.
+     * stmts holds exactly the body's subtree, in pre-order. */
+    int body = -1;
     std::vector<CudaStmt> stmts;
 };
 
-/** Parse result for one translation unit. */
+/**
+ * Parse result for one translation unit. Views into the lexed stream,
+ * which (with the source it views) must outlive the program.
+ */
 struct CudaProgram
 {
+    Tokens tokens; ///< the whole stream, End token last
+    /** Spelling of each interned identifier id. */
+    std::span<const std::string_view> identifiers;
     std::vector<CudaFunction> functions;
     bool ok = true;
     std::string error;
+
+    Tokens
+    range(TokenRange r) const
+    {
+        return tokens.subspan(r.begin, r.end - r.begin);
+    }
 };
+
+// =====================================================================
+// Token tests and barrier statement recognition.
+// =====================================================================
+
+bool
+opensGroup(const CudaToken &t)
+{
+    return t.is(CudaSym::LParen) || t.is(CudaSym::LBracket);
+}
+
+bool
+closesGroup(const CudaToken &t)
+{
+    return t.is(CudaSym::RParen) || t.is(CudaSym::RBracket);
+}
+
+/** Does @p tokens contain a call of @p callee? */
+bool
+containsCall(Tokens tokens, CudaSym callee)
+{
+    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
+        if (tokens[i].is(callee) && tokens[i + 1].is(CudaSym::LParen))
+            return true;
+    }
+    return false;
+}
+
+BarrierKind
+barrierKindOf(Tokens tokens)
+{
+    if (containsCall(tokens, CudaSym::SyncThreads))
+        return BarrierKind::Sync;
+    if (containsCall(tokens, CudaSym::GridBarrier))
+        return BarrierKind::Grid;
+    if (containsCall(tokens, CudaSym::BlockReduce))
+        return BarrierKind::BlockReduce;
+    return BarrierKind::None;
+}
+
+// =====================================================================
+// Parser: the emitted C-like subset -> structured statements.
+// =====================================================================
 
 class Parser
 {
   public:
-    explicit Parser(std::vector<CudaToken> tokens)
-        : toks_(std::move(tokens))
-    {
-    }
+    explicit Parser(CudaProgram &prog) : prog_(prog), toks_(prog.tokens) {}
 
-    CudaProgram
+    void
     parse()
     {
-        CudaProgram prog;
         while (!atEnd()) {
             const std::size_t before = pos_;
-            if (!parseFunction(prog)) {
-                if (!prog.ok)
+            if (!parseFunction()) {
+                if (!prog_.ok)
                     break;
                 // Not a function start here; skip one token. The
                 // emitted subset has only function definitions at the
@@ -90,7 +161,6 @@ class Parser
                 pos_ = before + 1;
             }
         }
-        return prog;
     }
 
   private:
@@ -108,16 +178,16 @@ class Parser
     void advance() { pos_ = std::min(pos_ + 1, toks_.size() - 1); }
 
     bool
-    fail(CudaProgram &prog, const std::string &what)
+    fail(const std::string &what)
     {
-        prog.ok = false;
-        prog.error = strCat(what, " at line ", cur().line);
+        prog_.ok = false;
+        prog_.error = strCat(what, " at line ", cur().line);
         return false;
     }
 
     /** Try to parse one function definition at the cursor. */
     bool
-    parseFunction(CudaProgram &prog)
+    parseFunction()
     {
         const std::size_t start = pos_;
         CudaFunction fn;
@@ -127,56 +197,57 @@ class Parser
         // not one of the paren-taking specifiers.
         bool found_name = false;
         while (!atEnd()) {
-            if (cur().is("extern")) {
+            if (cur().is(CudaSym::Extern)) {
                 advance();
                 if (cur().kind == CudaTokenKind::String)
                     advance();
                 continue;
             }
-            if (cur().is("__global__")) {
+            if (cur().is(CudaSym::Global)) {
                 fn.is_global = true;
                 advance();
                 continue;
             }
-            if (cur().is("__device__")) {
+            if (cur().is(CudaSym::Device)) {
                 fn.is_device = true;
                 advance();
                 continue;
             }
-            if (cur().is("__launch_bounds__")) {
+            if (cur().is(CudaSym::LaunchBounds)) {
                 advance();
-                if (!cur().is("(")) {
+                if (!cur().is(CudaSym::LParen)) {
                     pos_ = start;
                     return false;
                 }
                 advance();
                 int depth = 1;
-                std::vector<std::int64_t> args;
+                int args = 0;
                 while (!atEnd() && depth > 0) {
-                    if (cur().is("("))
+                    if (cur().is(CudaSym::LParen)) {
                         ++depth;
-                    else if (cur().is(")"))
+                    } else if (cur().is(CudaSym::RParen)) {
                         --depth;
-                    else if (cur().kind == CudaTokenKind::Number &&
-                             cur().is_integer)
-                        args.push_back(cur().value);
+                    } else if (cur().kind == CudaTokenKind::Number &&
+                               cur().is_integer) {
+                        if (args == 0)
+                            fn.launch_bounds_block = cur().value;
+                        else if (args == 1)
+                            fn.launch_bounds_min = cur().value;
+                        ++args;
+                    }
                     advance();
                 }
-                if (!args.empty())
-                    fn.launch_bounds_block = args[0];
-                if (args.size() > 1)
-                    fn.launch_bounds_min = args[1];
                 continue;
             }
             if (cur().kind == CudaTokenKind::Identifier &&
-                peek().is("(")) {
+                peek().is(CudaSym::LParen)) {
                 fn.name = cur().text;
                 advance();
                 found_name = true;
                 break;
             }
             if (cur().kind == CudaTokenKind::Identifier ||
-                cur().is("*")) {
+                cur().is(CudaSym::Star)) {
                 // return-type tokens (void, float, unsigned, ...)
                 advance();
                 continue;
@@ -196,162 +267,157 @@ class Parser
                 fn.params.push_back(param);
             param = CudaParam();
         };
-        while (!atEnd() && !cur().is(")")) {
-            if (cur().is(",")) {
+        while (!atEnd() && !cur().is(CudaSym::RParen)) {
+            if (cur().is(CudaSym::Comma)) {
                 flush_param();
-                advance();
-            } else if (cur().is("*")) {
+            } else if (cur().is(CudaSym::Star)) {
                 param.is_pointer = true;
-                advance();
-            } else if (cur().is("const")) {
+            } else if (cur().is(CudaSym::Const)) {
                 param.is_const = true;
-                advance();
-            } else if (cur().is("volatile")) {
+            } else if (cur().is(CudaSym::Volatile)) {
                 param.is_volatile = true;
-                advance();
-            } else if (cur().is("__restrict__")) {
-                advance();
-            } else if (cur().kind == CudaTokenKind::Identifier) {
+            } else if (cur().kind == CudaTokenKind::Identifier &&
+                       !cur().is(CudaSym::Restrict)) {
                 if (param.base_type.empty())
                     param.base_type = cur().text;
                 param.name = cur().text;
-                advance();
-            } else {
-                advance();
             }
+            advance();
         }
         flush_param();
         if (atEnd())
-            return fail(prog, "unterminated parameter list");
+            return fail("unterminated parameter list");
         advance(); // ')'
 
-        if (cur().is(";")) {
+        if (cur().is(CudaSym::Semi)) {
             // Forward declaration: keep the signature, no body.
             advance();
-            prog.functions.push_back(std::move(fn));
+            prog_.functions.push_back(std::move(fn));
             return true;
         }
-        if (!cur().is("{")) {
+        if (!cur().is(CudaSym::LBrace)) {
             pos_ = start;
             return false;
         }
-        fn.body = parseStmt(prog, fn);
+        fn.body = parseStmt(fn);
         if (fn.body < 0)
             return false;
-        prog.functions.push_back(std::move(fn));
+        prog_.functions.push_back(std::move(fn));
         return true;
     }
 
-    /** Collect tokens up to @p terminator at paren depth 0 (consumed). */
+    /** Range of the tokens up to @p terminator at paren depth 0; the
+     * terminator is consumed. */
     bool
-    collectUntil(CudaProgram &prog, const char *terminator,
-                 std::vector<CudaToken> &out)
+    collectUntil(CudaSym terminator, const char *spelling, TokenRange &out)
     {
+        out.begin = static_cast<std::uint32_t>(pos_);
         int depth = 0;
         while (!atEnd()) {
             if (depth == 0 && cur().is(terminator)) {
+                out.end = static_cast<std::uint32_t>(pos_);
                 advance();
                 return true;
             }
-            if (cur().is("(") || cur().is("["))
+            if (opensGroup(cur()))
                 ++depth;
-            else if (cur().is(")") || cur().is("]"))
+            else if (closesGroup(cur()))
                 --depth;
-            out.push_back(cur());
             advance();
         }
-        return fail(prog, strCat("missing '", terminator, "'"));
+        return fail(strCat("missing '", spelling, "'"));
     }
 
-    /** Parse one statement; returns its index in fn.stmts or -1. */
-    int
-    parseStmt(CudaProgram &prog, CudaFunction &fn)
+    /** `(` then the condition up to its `)`, for if/while. */
+    bool
+    parenCondition(const char *keyword, TokenRange &out)
     {
+        if (!cur().is(CudaSym::LParen))
+            return fail(strCat("expected '(' after ", keyword));
+        advance();
+        return collectUntil(CudaSym::RParen, ")", out);
+    }
+
+    /** Parse one statement subtree into fn.stmts; its index or -1. */
+    int
+    parseStmt(CudaFunction &fn)
+    {
+        const int idx = static_cast<int>(fn.stmts.size());
+        fn.stmts.emplace_back(); // children land after it
         CudaStmt stmt;
         stmt.line = cur().line;
 
-        if (cur().is("{")) {
+        if (cur().is(CudaSym::LBrace)) {
             advance();
             stmt.kind = CudaStmt::Kind::Block;
-            while (!atEnd() && !cur().is("}")) {
-                const int child = parseStmt(prog, fn);
-                if (child < 0)
+            while (!atEnd() && !cur().is(CudaSym::RBrace)) {
+                if (parseStmt(fn) < 0)
                     return -1;
-                stmt.children.push_back(child);
             }
             if (atEnd()) {
-                fail(prog, "unterminated block");
+                fail("unterminated block");
                 return -1;
             }
             advance(); // '}'
-        } else if (cur().is("if")) {
+        } else if (cur().is(CudaSym::If)) {
             advance();
             stmt.kind = CudaStmt::Kind::If;
-            if (!cur().is("(")) {
-                fail(prog, "expected '(' after if");
+            if (!parenCondition("if", stmt.cond) || parseStmt(fn) < 0)
                 return -1;
-            }
-            advance();
-            if (!collectUntil(prog, ")", stmt.cond))
-                return -1;
-            const int then_child = parseStmt(prog, fn);
-            if (then_child < 0)
-                return -1;
-            stmt.children.push_back(then_child);
-            if (cur().is("else")) {
+            if (cur().is(CudaSym::Else)) {
                 advance();
-                const int else_child = parseStmt(prog, fn);
-                if (else_child < 0)
+                if (parseStmt(fn) < 0)
                     return -1;
-                stmt.children.push_back(else_child);
                 stmt.has_else = true;
             }
-        } else if (cur().is("for")) {
+        } else if (cur().is(CudaSym::For)) {
             advance();
             stmt.kind = CudaStmt::Kind::For;
-            if (!cur().is("(")) {
-                fail(prog, "expected '(' after for");
+            if (!cur().is(CudaSym::LParen)) {
+                fail("expected '(' after for");
                 return -1;
             }
             advance();
-            if (!collectUntil(prog, ";", stmt.init) ||
-                !collectUntil(prog, ";", stmt.cond) ||
-                !collectUntil(prog, ")", stmt.step))
+            if (!collectUntil(CudaSym::Semi, ";", stmt.init) ||
+                !collectUntil(CudaSym::Semi, ";", stmt.cond) ||
+                !collectUntil(CudaSym::RParen, ")", stmt.step) ||
+                parseStmt(fn) < 0)
                 return -1;
-            const int body = parseStmt(prog, fn);
-            if (body < 0)
-                return -1;
-            stmt.children.push_back(body);
-        } else if (cur().is("while")) {
+        } else if (cur().is(CudaSym::While)) {
             advance();
             stmt.kind = CudaStmt::Kind::While;
-            if (!cur().is("(")) {
-                fail(prog, "expected '(' after while");
+            if (!parenCondition("while", stmt.cond) || parseStmt(fn) < 0)
                 return -1;
-            }
-            advance();
-            if (!collectUntil(prog, ")", stmt.cond))
-                return -1;
-            const int body = parseStmt(prog, fn);
-            if (body < 0)
-                return -1;
-            stmt.children.push_back(body);
-        } else if (cur().is(";")) {
+        } else if (cur().is(CudaSym::Semi)) {
             advance();
             stmt.kind = CudaStmt::Kind::Simple;
         } else {
             stmt.kind = CudaStmt::Kind::Simple;
-            if (!collectUntil(prog, ";", stmt.tokens))
+            if (!collectUntil(CudaSym::Semi, ";", stmt.tokens))
                 return -1;
+            stmt.barrier = barrierKindOf(prog_.range(stmt.tokens));
         }
 
-        fn.stmts.push_back(std::move(stmt));
-        return static_cast<int>(fn.stmts.size()) - 1;
+        stmt.end = static_cast<int>(fn.stmts.size());
+        fn.stmts[idx] = stmt;
+        return idx;
     }
 
-    std::vector<CudaToken> toks_;
+    CudaProgram &prog_;
+    Tokens toks_;
     std::size_t pos_ = 0;
 };
+
+/** Parse @p lexed; the program views it. */
+CudaProgram
+parseCudaProgram(const CudaTokenStream &lexed)
+{
+    CudaProgram prog;
+    prog.tokens = lexed.tokens;
+    prog.identifiers = lexed.identifiers;
+    Parser(prog).parse();
+    return prog;
+}
 
 // =====================================================================
 // Divergence lattice and expression classification.
@@ -377,34 +443,90 @@ divName(int d)
     }
 }
 
-using DivEnv = std::map<std::string, int>;
+/** Identifier id -> join of the divergence assigned to it so far. */
+using DivEnv = std::vector<int>;
 
 int
-identifierDiv(const std::string &name, const DivEnv &env)
+identifierDiv(const CudaToken &id, const DivEnv &env)
 {
-    if (name == "threadIdx")
+    switch (id.sym) {
+      case CudaSym::ThreadIdx:
         return kThreadVarying;
-    if (name == "blockIdx")
+      case CudaSym::BlockIdx:
         return kBlockVarying;
-    if (name == "gridDim" || name == "blockDim")
+      case CudaSym::GridDim:
+      case CudaSym::BlockDim:
         return kUniform;
-    const auto it = env.find(name);
-    return it == env.end() ? kUniform : it->second;
+      default:
+        return env[id.ident];
+    }
 }
 
 /** Join of all identifiers in @p tokens (field names after '.' skip). */
 int
-exprDiv(const std::vector<CudaToken> &tokens, const DivEnv &env)
+exprDiv(Tokens tokens, const DivEnv &env)
 {
     int div = kUniform;
     for (std::size_t i = 0; i < tokens.size(); ++i) {
         if (tokens[i].kind != CudaTokenKind::Identifier)
             continue;
-        if (i > 0 && tokens[i - 1].is("."))
+        if (i > 0 && tokens[i - 1].is(CudaSym::Dot))
             continue;
-        div = std::max(div, identifierDiv(tokens[i].text, env));
+        div = std::max(div, identifierDiv(tokens[i], env));
     }
     return div;
+}
+
+bool
+isAssignOp(const CudaToken &t)
+{
+    switch (t.sym) {
+      case CudaSym::Assign:
+      case CudaSym::PlusAssign:
+      case CudaSym::MinusAssign:
+      case CudaSym::StarAssign:
+      case CudaSym::SlashAssign:
+      case CudaSym::PercentAssign:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** Fold one declarator segment `T v = expr` / `v op= expr`. */
+void
+foldDeclarator(Tokens seg, DivEnv &env)
+{
+    // Find the depth-0 assignment operator.
+    std::size_t assign = seg.size();
+    int depth = 0;
+    for (std::size_t i = 0; i < seg.size(); ++i) {
+        if (opensGroup(seg[i])) {
+            ++depth;
+        } else if (closesGroup(seg[i])) {
+            --depth;
+        } else if (depth == 0 && isAssignOp(seg[i])) {
+            assign = i;
+            break;
+        }
+    }
+    if (assign >= seg.size())
+        return;
+    // Array store? The lhs then contains '['.
+    const CudaToken *lhs = nullptr;
+    for (std::size_t i = 0; i < assign; ++i) {
+        if (seg[i].is(CudaSym::LBracket))
+            return;
+        if (seg[i].kind == CudaTokenKind::Identifier)
+            lhs = &seg[i];
+    }
+    if (lhs == nullptr)
+        return;
+    int div = exprDiv(seg.subspan(assign + 1), env);
+    if (!seg[assign].is(CudaSym::Assign))
+        div = std::max(div, identifierDiv(*lhs, env));
+    int &slot = env[lhs->ident];
+    slot = std::max(slot, div);
 }
 
 /**
@@ -414,62 +536,21 @@ exprDiv(const std::vector<CudaToken> &tokens, const DivEnv &env)
  * comma-separated declarator lists at paren depth 0.
  */
 void
-foldAssignments(const std::vector<CudaToken> &tokens, DivEnv &env)
+foldAssignments(Tokens tokens, DivEnv &env)
 {
-    // Split into declarator segments at depth-0 commas.
-    std::vector<std::pair<std::size_t, std::size_t>> segments;
     std::size_t seg_start = 0;
     int depth = 0;
     for (std::size_t i = 0; i < tokens.size(); ++i) {
-        if (tokens[i].is("(") || tokens[i].is("["))
+        if (opensGroup(tokens[i])) {
             ++depth;
-        else if (tokens[i].is(")") || tokens[i].is("]"))
+        } else if (closesGroup(tokens[i])) {
             --depth;
-        else if (depth == 0 && tokens[i].is(",")) {
-            segments.emplace_back(seg_start, i);
+        } else if (depth == 0 && tokens[i].is(CudaSym::Comma)) {
+            foldDeclarator(tokens.subspan(seg_start, i - seg_start), env);
             seg_start = i + 1;
         }
     }
-    segments.emplace_back(seg_start, tokens.size());
-
-    for (const auto &seg : segments) {
-        // Find the depth-0 assignment operator.
-        std::size_t assign = seg.second;
-        depth = 0;
-        for (std::size_t i = seg.first; i < seg.second; ++i) {
-            if (tokens[i].is("(") || tokens[i].is("["))
-                ++depth;
-            else if (tokens[i].is(")") || tokens[i].is("]"))
-                --depth;
-            else if (depth == 0 && tokens[i].kind == CudaTokenKind::Punct &&
-                     (tokens[i].is("=") || tokens[i].is("+=") ||
-                      tokens[i].is("-=") || tokens[i].is("*=") ||
-                      tokens[i].is("/=") || tokens[i].is("%="))) {
-                assign = i;
-                break;
-            }
-        }
-        if (assign >= seg.second)
-            continue;
-        // Array store? The lhs then contains '['.
-        bool indexed = false;
-        std::string lhs_name;
-        for (std::size_t i = seg.first; i < assign; ++i) {
-            if (tokens[i].is("["))
-                indexed = true;
-            if (tokens[i].kind == CudaTokenKind::Identifier)
-                lhs_name = tokens[i].text;
-        }
-        if (indexed || lhs_name.empty())
-            continue;
-        std::vector<CudaToken> rhs(tokens.begin() + assign + 1,
-                                   tokens.begin() + seg.second);
-        int div = exprDiv(rhs, env);
-        if (!tokens[assign].is("="))
-            div = std::max(div, identifierDiv(lhs_name, env));
-        int &slot = env[lhs_name];
-        slot = std::max(slot, div);
-    }
+    foldDeclarator(tokens.subspan(seg_start), env);
 }
 
 // =====================================================================
@@ -481,7 +562,7 @@ struct LoopInfo
     enum class Seed { Literal, BlockIdx, ThreadIdx, Other };
     enum class Step { Literal, GridDim, BlockDim, Other };
 
-    std::string var;
+    int var = -1; ///< identifier id of the induction variable
     Seed seed = Seed::Other;
     std::int64_t seed_value = 0;
     bool upper_bounded = false; ///< condition is `var < <literal>`
@@ -490,70 +571,75 @@ struct LoopInfo
     std::int64_t step_value = 0;
 };
 
+bool
+isIntegerLiteral(const CudaToken &t)
+{
+    return t.kind == CudaTokenKind::Number && t.is_integer;
+}
+
 /** Match `base . x` at tokens[i..]. */
 bool
-isDimField(const std::vector<CudaToken> &t, std::size_t i,
-           const char *base)
+isDimField(Tokens t, std::size_t i, CudaSym base)
 {
-    return i + 1 < t.size() && t[i].is(base) && t[i + 1].is(".");
+    return i + 1 < t.size() && t[i].is(base) && t[i + 1].is(CudaSym::Dot);
 }
 
 LoopInfo
-classifyLoop(const CudaStmt &stmt)
+classifyLoop(const CudaProgram &prog, const CudaStmt &stmt)
 {
     LoopInfo info;
 
     // init: `T var = seed` (seed: literal | blockIdx.x | threadIdx.x)
-    std::size_t assign = stmt.init.size();
-    for (std::size_t i = 0; i < stmt.init.size(); ++i) {
-        if (stmt.init[i].is("=")) {
+    const Tokens init = prog.range(stmt.init);
+    std::size_t assign = init.size();
+    for (std::size_t i = 0; i < init.size(); ++i) {
+        if (init[i].is(CudaSym::Assign)) {
             assign = i;
             break;
         }
-        if (stmt.init[i].kind == CudaTokenKind::Identifier)
-            info.var = stmt.init[i].text;
+        if (init[i].kind == CudaTokenKind::Identifier)
+            info.var = init[i].ident;
     }
-    if (assign + 1 < stmt.init.size()) {
-        const CudaToken &s = stmt.init[assign + 1];
-        if (s.kind == CudaTokenKind::Number && s.is_integer) {
+    if (assign + 1 < init.size()) {
+        const CudaToken &s = init[assign + 1];
+        if (isIntegerLiteral(s)) {
             info.seed = LoopInfo::Seed::Literal;
             info.seed_value = s.value;
-        } else if (isDimField(stmt.init, assign + 1, "blockIdx")) {
+        } else if (isDimField(init, assign + 1, CudaSym::BlockIdx)) {
             info.seed = LoopInfo::Seed::BlockIdx;
-        } else if (isDimField(stmt.init, assign + 1, "threadIdx")) {
+        } else if (isDimField(init, assign + 1, CudaSym::ThreadIdx)) {
             info.seed = LoopInfo::Seed::ThreadIdx;
         }
     }
 
     // cond: `var < <integer literal>`
-    if (stmt.cond.size() == 3 && stmt.cond[0].is(info.var.c_str()) &&
-        stmt.cond[1].is("<") &&
-        stmt.cond[2].kind == CudaTokenKind::Number &&
-        stmt.cond[2].is_integer) {
+    const Tokens cond = prog.range(stmt.cond);
+    if (cond.size() == 3 && info.var >= 0 && cond[0].ident == info.var &&
+        cond[1].is(CudaSym::Less) && isIntegerLiteral(cond[2])) {
         info.upper_bounded = true;
-        info.bound = stmt.cond[2].value;
+        info.bound = cond[2].value;
     }
 
     // step: `var += gridDim.x | blockDim.x | <literal>` or `++var`...
-    for (std::size_t i = 0; i < stmt.step.size(); ++i) {
-        if (!stmt.step[i].is("+="))
+    const Tokens step = prog.range(stmt.step);
+    for (std::size_t i = 0; i < step.size(); ++i) {
+        if (!step[i].is(CudaSym::PlusAssign))
             continue;
-        if (i + 1 < stmt.step.size()) {
-            const CudaToken &s = stmt.step[i + 1];
-            if (s.kind == CudaTokenKind::Number && s.is_integer) {
+        if (i + 1 < step.size()) {
+            if (isIntegerLiteral(step[i + 1])) {
                 info.step = LoopInfo::Step::Literal;
-                info.step_value = s.value;
-            } else if (isDimField(stmt.step, i + 1, "gridDim")) {
+                info.step_value = step[i + 1].value;
+            } else if (isDimField(step, i + 1, CudaSym::GridDim)) {
                 info.step = LoopInfo::Step::GridDim;
-            } else if (isDimField(stmt.step, i + 1, "blockDim")) {
+            } else if (isDimField(step, i + 1, CudaSym::BlockDim)) {
                 info.step = LoopInfo::Step::BlockDim;
             }
         }
         break;
     }
     if (info.step == LoopInfo::Step::Other) {
-        for (const CudaToken &t : stmt.step) {
-            if (t.is("++") || t.is("--")) {
+        for (const CudaToken &t : step) {
+            if (t.is(CudaSym::PlusPlus) || t.is(CudaSym::MinusMinus)) {
                 info.step = LoopInfo::Step::Literal;
                 info.step_value = 1;
                 break;
@@ -576,8 +662,8 @@ isTaskLoop(const LoopInfo &info)
  * number of iterations under the plan's launch dims.
  */
 int
-loopContribution(const CudaStmt &stmt, const LoopInfo &info,
-                 const DivEnv &env, std::int64_t grid, std::int64_t block)
+loopContribution(Tokens cond, const LoopInfo &info, const DivEnv &env,
+                 std::int64_t grid, std::int64_t block)
 {
     if (info.upper_bounded) {
         if (info.seed == LoopInfo::Seed::Literal &&
@@ -594,7 +680,7 @@ loopContribution(const CudaStmt &stmt, const LoopInfo &info,
                                                         : kThreadVarying;
         }
     }
-    return exprDiv(stmt.cond, env);
+    return exprDiv(cond, env);
 }
 
 /** Zero-trip loop / constant-false condition: provably dead body. */
@@ -606,56 +692,10 @@ loopProvablyDead(const LoopInfo &info)
 }
 
 bool
-condProvablyFalse(const std::vector<CudaToken> &cond)
+condProvablyFalse(Tokens cond)
 {
-    return cond.size() == 1 && cond[0].kind == CudaTokenKind::Number &&
-           cond[0].is_integer && cond[0].value == 0;
-}
-
-// =====================================================================
-// Barrier statement recognition.
-// =====================================================================
-
-enum class BarrierKind { None, Sync, Grid, BlockReduce };
-
-/** Does @p tokens contain a call of @p callee? */
-bool
-containsCall(const std::vector<CudaToken> &tokens, const char *callee)
-{
-    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-        if (tokens[i].kind == CudaTokenKind::Identifier &&
-            tokens[i].is(callee) && tokens[i + 1].is("(")) {
-            return true;
-        }
-    }
-    return false;
-}
-
-BarrierKind
-barrierKindOf(const CudaStmt &stmt)
-{
-    if (stmt.kind != CudaStmt::Kind::Simple || stmt.tokens.empty())
-        return BarrierKind::None;
-    if (containsCall(stmt.tokens, "__syncthreads"))
-        return BarrierKind::Sync;
-    if (containsCall(stmt.tokens, "grid_barrier"))
-        return BarrierKind::Grid;
-    if (containsCall(stmt.tokens, "blockReduce"))
-        return BarrierKind::BlockReduce;
-    return BarrierKind::None;
-}
-
-bool
-subtreeHasBarrier(const CudaFunction &fn, int idx)
-{
-    const CudaStmt &stmt = fn.stmts[idx];
-    if (barrierKindOf(stmt) != BarrierKind::None)
-        return true;
-    for (int child : stmt.children) {
-        if (subtreeHasBarrier(fn, child))
-            return true;
-    }
-    return false;
+    return cond.size() == 1 && isIntegerLiteral(cond[0]) &&
+           cond[0].value == 0;
 }
 
 // =====================================================================
@@ -664,26 +704,28 @@ subtreeHasBarrier(const CudaFunction &fn, int idx)
 
 struct DivergenceWalk
 {
+    const CudaProgram &prog;
     const CudaFunction &fn;
     const KernelPlan &plan;
     DiagnosticEngine &engine;
     std::int64_t grid;
     std::int64_t block;
-    DivEnv env;
+    DivEnv &env;
 
+    /** Report every barrier in the subtree at @p idx. */
     void
     deadBarrier(int idx)
     {
-        const CudaStmt &stmt = fn.stmts[idx];
-        if (barrierKindOf(stmt) != BarrierKind::None) {
-            engine.report(
-                "AS902", plan.name,
-                strCat("line ", stmt.line, ": barrier inside provably "
-                       "dead control flow never executes; the schedule "
-                       "it implements cannot be realized"));
+        for (int s = idx; s < fn.stmts[idx].end; ++s) {
+            if (fn.stmts[s].barrier != BarrierKind::None) {
+                engine.report(
+                    "AS902", plan.name,
+                    strCat("line ", fn.stmts[s].line,
+                           ": barrier inside provably "
+                           "dead control flow never executes; the schedule "
+                           "it implements cannot be realized"));
+            }
         }
-        for (int child : stmt.children)
-            deadBarrier(child);
     }
 
     void
@@ -692,11 +734,12 @@ struct DivergenceWalk
         const CudaStmt &stmt = fn.stmts[idx];
         switch (stmt.kind) {
           case CudaStmt::Kind::Block:
-            for (int child : stmt.children)
+            for (int child = idx + 1; child < stmt.end;
+                 child = fn.stmts[child].end)
                 walk(child, ctx);
             break;
           case CudaStmt::Kind::Simple: {
-            const BarrierKind kind = barrierKindOf(stmt);
+            const BarrierKind kind = stmt.barrier;
             if ((kind == BarrierKind::Sync ||
                  kind == BarrierKind::BlockReduce) &&
                 ctx >= kThreadVarying) {
@@ -719,44 +762,46 @@ struct DivergenceWalk
                            "barrier trip count and deadlock the "
                            "inter-block barrier"));
             }
-            foldAssignments(stmt.tokens, env);
+            foldAssignments(prog.range(stmt.tokens), env);
             break;
           }
           case CudaStmt::Kind::If: {
-            if (condProvablyFalse(stmt.cond)) {
-                deadBarrier(stmt.children[0]);
+            const int then_branch = idx + 1;
+            const int else_branch = fn.stmts[then_branch].end;
+            const Tokens cond = prog.range(stmt.cond);
+            if (condProvablyFalse(cond)) {
+                deadBarrier(then_branch);
                 if (stmt.has_else)
-                    walk(stmt.children[1], ctx);
+                    walk(else_branch, ctx);
                 break;
             }
-            const int child_ctx =
-                std::max(ctx, exprDiv(stmt.cond, env));
-            walk(stmt.children[0], child_ctx);
+            const int child_ctx = std::max(ctx, exprDiv(cond, env));
+            walk(then_branch, child_ctx);
             if (stmt.has_else)
-                walk(stmt.children[1], child_ctx);
+                walk(else_branch, child_ctx);
             break;
           }
           case CudaStmt::Kind::For: {
-            foldAssignments(stmt.init, env);
-            const LoopInfo info = classifyLoop(stmt);
+            foldAssignments(prog.range(stmt.init), env);
+            const LoopInfo info = classifyLoop(prog, stmt);
             if (loopProvablyDead(info)) {
-                deadBarrier(stmt.children[0]);
-                break;
-            }
-            const int child_ctx = std::max(
-                ctx, loopContribution(stmt, info, env, grid, block));
-            walk(stmt.children[0], child_ctx);
-            foldAssignments(stmt.step, env);
-            break;
-          }
-          case CudaStmt::Kind::While: {
-            if (condProvablyFalse(stmt.cond)) {
-                deadBarrier(stmt.children[0]);
+                deadBarrier(idx + 1);
                 break;
             }
             const int child_ctx =
-                std::max(ctx, exprDiv(stmt.cond, env));
-            walk(stmt.children[0], child_ctx);
+                std::max(ctx, loopContribution(prog.range(stmt.cond), info,
+                                               env, grid, block));
+            walk(idx + 1, child_ctx);
+            foldAssignments(prog.range(stmt.step), env);
+            break;
+          }
+          case CudaStmt::Kind::While: {
+            const Tokens cond = prog.range(stmt.cond);
+            if (condProvablyFalse(cond)) {
+                deadBarrier(idx + 1);
+                break;
+            }
+            walk(idx + 1, std::max(ctx, exprDiv(cond, env)));
             break;
           }
         }
@@ -769,45 +814,41 @@ struct DivergenceWalk
 
 struct CfgNode
 {
-    int stmt = -1; ///< -1 for the synthetic entry/exit nodes
     bool barrier = false;
     bool smem_write = false;
-    std::string buffer;
+    std::string_view buffer; ///< the written buffer of an smem_write
     int line = 0;
-    std::vector<int> succs;
 };
 
 struct Cfg
 {
     std::vector<CfgNode> nodes;
+    std::vector<std::pair<int, int>> edges; ///< (from, to)
     int entry = -1;
     int exit = -1;
 };
 
 bool
-isSmemName(const std::string &name)
+isSmemName(std::string_view name)
 {
-    return name == "smem" ||
-           (name.size() > 5 &&
-            name.compare(name.size() - 5, 5, "_smem") == 0);
+    return name == "smem" || (name.size() > 5 && name.ends_with("_smem"));
 }
 
 /** `NAME[ ... ] = ...` at statement head, NAME an smem buffer. */
 bool
-isSmemStore(const CudaStmt &stmt, std::string *buffer)
+isSmemStore(Tokens t, std::string_view *buffer)
 {
-    const std::vector<CudaToken> &t = stmt.tokens;
     if (t.size() < 4 || t[0].kind != CudaTokenKind::Identifier ||
-        !t[1].is("[") || !isSmemName(t[0].text)) {
+        !t[1].is(CudaSym::LBracket) || !isSmemName(t[0].text)) {
         return false;
     }
     int depth = 0;
     for (std::size_t i = 1; i < t.size(); ++i) {
-        if (t[i].is("[") || t[i].is("("))
+        if (opensGroup(t[i]))
             ++depth;
-        else if (t[i].is("]") || t[i].is(")"))
+        else if (closesGroup(t[i]))
             --depth;
-        else if (depth == 0 && t[i].is("=")) {
+        else if (depth == 0 && t[i].is(CudaSym::Assign)) {
             *buffer = t[0].text;
             return true;
         }
@@ -817,108 +858,124 @@ isSmemStore(const CudaStmt &stmt, std::string *buffer)
 
 struct CfgBuilder
 {
+    const CudaProgram &prog;
     const CudaFunction &fn;
     Cfg cfg;
+    /** Nodes whose successor is the next statement. build() owns the
+     * suffix from its mark; an if-else keeps both branches' exits. */
+    std::vector<int> frontier;
 
     int
     addNode(int stmt_idx)
     {
-        CfgNode node;
-        node.stmt = stmt_idx;
+        CfgNode &node = cfg.nodes.emplace_back();
         if (stmt_idx >= 0) {
             const CudaStmt &stmt = fn.stmts[stmt_idx];
             node.line = stmt.line;
-            node.barrier = barrierKindOf(stmt) != BarrierKind::None;
+            node.barrier = stmt.barrier != BarrierKind::None;
             if (!node.barrier && stmt.kind == CudaStmt::Kind::Simple)
-                node.smem_write = isSmemStore(stmt, &node.buffer);
+                node.smem_write =
+                    isSmemStore(prog.range(stmt.tokens), &node.buffer);
         }
-        cfg.nodes.push_back(std::move(node));
         return static_cast<int>(cfg.nodes.size()) - 1;
     }
 
+    /** Edges from the frontier suffix at @p mark to @p node, which
+     * then replaces that suffix. */
     void
-    connect(const std::vector<int> &preds, int node)
+    advanceTo(std::size_t mark, int node)
     {
-        for (int p : preds)
-            cfg.nodes[p].succs.push_back(node);
+        for (std::size_t i = mark; i < frontier.size(); ++i)
+            cfg.edges.emplace_back(frontier[i], node);
+        frontier.resize(mark);
+        frontier.push_back(node);
     }
 
-    std::vector<int>
-    build(int stmt_idx, std::vector<int> preds)
+    void
+    build(int idx, std::size_t mark)
     {
-        const CudaStmt &stmt = fn.stmts[stmt_idx];
+        const CudaStmt &stmt = fn.stmts[idx];
         switch (stmt.kind) {
-          case CudaStmt::Kind::Block: {
-            for (int child : stmt.children)
-                preds = build(child, std::move(preds));
-            return preds;
-          }
-          case CudaStmt::Kind::Simple: {
-            const int node = addNode(stmt_idx);
-            connect(preds, node);
-            return {node};
-          }
+          case CudaStmt::Kind::Block:
+            for (int child = idx + 1; child < stmt.end;
+                 child = fn.stmts[child].end)
+                build(child, mark);
+            return;
+          case CudaStmt::Kind::Simple:
+            advanceTo(mark, addNode(idx));
+            return;
           case CudaStmt::Kind::If: {
-            const int cond = addNode(stmt_idx);
-            connect(preds, cond);
-            std::vector<int> exits = build(stmt.children[0], {cond});
-            if (stmt.has_else) {
-                std::vector<int> other =
-                    build(stmt.children[1], {cond});
-                exits.insert(exits.end(), other.begin(), other.end());
-            } else {
-                exits.push_back(cond);
-            }
-            return exits;
+            const int cond = addNode(idx);
+            advanceTo(mark, cond);
+            build(idx + 1, mark);
+            const std::size_t other = frontier.size();
+            frontier.push_back(cond); // entry of the else (or fallthrough)
+            if (stmt.has_else)
+                build(fn.stmts[idx + 1].end, other);
+            return;
           }
           case CudaStmt::Kind::For:
           case CudaStmt::Kind::While: {
-            const int cond = addNode(stmt_idx);
-            connect(preds, cond);
-            const std::vector<int> body_exits =
-                build(stmt.children[0], {cond});
-            connect(body_exits, cond); // back edge
-            return {cond};
+            const int cond = addNode(idx);
+            advanceTo(mark, cond);
+            build(idx + 1, mark);
+            advanceTo(mark, cond); // back edge
+            return;
           }
         }
-        return preds;
     }
 };
 
 Cfg
-buildCfg(const CudaFunction &fn)
+buildCfg(const CudaProgram &prog, const CudaFunction &fn)
 {
-    CfgBuilder builder{fn, Cfg()};
+    CfgBuilder builder{prog, fn, Cfg(), {}};
     builder.cfg.entry = builder.addNode(-1);
-    std::vector<int> exits = {builder.cfg.entry};
+    builder.frontier.push_back(builder.cfg.entry);
     if (fn.body >= 0)
-        exits = builder.build(fn.body, exits);
+        builder.build(fn.body, 0);
     builder.cfg.exit = builder.addNode(-1);
-    builder.connect(exits, builder.cfg.exit);
-    return builder.cfg;
+    builder.advanceTo(0, builder.cfg.exit);
+    return std::move(builder.cfg);
 }
 
-/** Path from @p from to exit that crosses no barrier node? */
-bool
-exitReachableWithoutBarrier(const Cfg &cfg, int from)
+/**
+ * Per node: can kernel exit be reached from it along a path whose nodes
+ * (the node itself included) are all non-barrier? One reverse sweep
+ * from the exit over predecessor edges that stops at barriers.
+ */
+std::vector<char>
+barrierFreeToExit(const Cfg &cfg)
 {
-    std::vector<char> seen(cfg.nodes.size(), 0);
-    std::vector<int> stack(cfg.nodes[from].succs.begin(),
-                           cfg.nodes[from].succs.end());
-    while (!stack.empty()) {
-        const int n = stack.back();
-        stack.pop_back();
-        if (seen[n])
-            continue;
-        seen[n] = 1;
-        if (cfg.nodes[n].barrier)
-            continue; // barrier orders the write; path blocked
-        if (n == cfg.exit)
-            return true;
-        for (int s : cfg.nodes[n].succs)
-            stack.push_back(s);
+    const std::size_t n = cfg.nodes.size();
+    std::vector<int> first(n + 1, 0); // predecessor lists, CSR
+    for (const auto &[from, to] : cfg.edges)
+        ++first[to + 1];
+    for (std::size_t v = 0; v < n; ++v)
+        first[v + 1] += first[v];
+    std::vector<int> preds(cfg.edges.size());
+    std::vector<int> fill(first.begin(), first.end() - 1);
+    for (const auto &[from, to] : cfg.edges)
+        preds[fill[to]++] = from;
+
+    std::vector<char> reach(n, 0);
+    std::vector<int> stack;
+    if (!cfg.nodes[cfg.exit].barrier) {
+        reach[cfg.exit] = 1;
+        stack.push_back(cfg.exit);
     }
-    return false;
+    while (!stack.empty()) {
+        const int v = stack.back();
+        stack.pop_back();
+        for (int i = first[v]; i < first[v + 1]; ++i) {
+            const int p = preds[i];
+            if (!reach[p] && !cfg.nodes[p].barrier) {
+                reach[p] = 1;
+                stack.push_back(p);
+            }
+        }
+    }
+    return reach;
 }
 
 // =====================================================================
@@ -938,7 +995,7 @@ emittedValueName(const Graph &graph, NodeId id)
 }
 
 const CudaFunction *
-findFunction(const CudaProgram &prog, const char *name)
+findFunction(const CudaProgram &prog, std::string_view name)
 {
     for (const CudaFunction &fn : prog.functions) {
         if (fn.name == name && fn.body >= 0)
@@ -957,127 +1014,131 @@ findKernel(const CudaProgram &prog)
     return nullptr;
 }
 
-/** Visit every Simple statement of @p fn in program order. */
-template <typename Fn>
-void
-forEachSimple(const CudaFunction &fn, int idx, Fn &&visit)
-{
-    const CudaStmt &stmt = fn.stmts[idx];
-    if (stmt.kind == CudaStmt::Kind::Simple)
-        visit(stmt);
-    for (int child : stmt.children)
-        forEachSimple(fn, child, visit);
-}
-
-template <typename Fn>
-void
-forEachStmt(const CudaFunction &fn, int idx, Fn &&visit)
-{
-    const CudaStmt &stmt = fn.stmts[idx];
-    visit(stmt);
-    for (int child : stmt.children)
-        forEachStmt(fn, child, visit);
-}
-
 /** `__shared__ float smem[N]` declared words, or -1 when absent. */
 std::int64_t
-declaredArenaWords(const CudaFunction &kernel)
+declaredArenaWords(const CudaProgram &prog, const CudaFunction &kernel)
 {
     std::int64_t words = -1;
-    forEachSimple(kernel, kernel.body, [&](const CudaStmt &stmt) {
-        const std::vector<CudaToken> &t = stmt.tokens;
-        if (t.size() >= 6 && t[0].is("__shared__") && t[2].is("smem") &&
-            t[3].is("[") && t[4].kind == CudaTokenKind::Number &&
-            t[4].is_integer) {
+    for (const CudaStmt &stmt : kernel.stmts) {
+        const Tokens t = prog.range(stmt.tokens);
+        if (t.size() >= 6 && t[0].is(CudaSym::Shared) &&
+            t[2].is(CudaSym::Smem) && t[3].is(CudaSym::LBracket) &&
+            isIntegerLiteral(t[4])) {
             words = t[4].value;
         }
-    });
+    }
     return words;
 }
 
-/** `float *NAME = smem + K;` regional-buffer aliases, NAME -> K words. */
-std::map<std::string, std::int64_t>
-arenaAliases(const CudaFunction &kernel)
+/** One `float *NAME = smem + K;` regional-buffer alias. */
+struct ArenaAlias
 {
-    std::map<std::string, std::int64_t> aliases;
-    forEachSimple(kernel, kernel.body, [&](const CudaStmt &stmt) {
-        const std::vector<CudaToken> &t = stmt.tokens;
-        if (t.size() < 5 || !t[0].is("float") || !t[1].is("*") ||
-            t[2].kind != CudaTokenKind::Identifier || !t[3].is("=") ||
-            !t[4].is("smem")) {
-            return;
+    std::string_view name;
+    std::int64_t words = 0;
+};
+
+/** The kernel's regional-buffer aliases in name order; a name declared
+ * twice keeps its last offset. */
+std::vector<ArenaAlias>
+arenaAliases(const CudaProgram &prog, const CudaFunction &kernel)
+{
+    std::vector<ArenaAlias> aliases;
+    std::vector<int> slot(prog.identifiers.size(), -1); // id -> alias
+    for (const CudaStmt &stmt : kernel.stmts) {
+        const Tokens t = prog.range(stmt.tokens);
+        if (t.size() < 5 || !t[0].is(CudaSym::Float) ||
+            !t[1].is(CudaSym::Star) ||
+            t[2].kind != CudaTokenKind::Identifier ||
+            !t[3].is(CudaSym::Assign) || !t[4].is(CudaSym::Smem)) {
+            continue;
         }
         std::int64_t offset = 0;
-        if (t.size() >= 7 && t[5].is("+") &&
-            t[6].kind == CudaTokenKind::Number && t[6].is_integer) {
+        if (t.size() >= 7 && t[5].is(CudaSym::Plus) &&
+            isIntegerLiteral(t[6])) {
             offset = t[6].value;
         }
-        aliases[t[2].text] = offset;
-    });
+        int &index = slot[t[2].ident];
+        if (index < 0) {
+            index = static_cast<int>(aliases.size());
+            aliases.push_back({t[2].text, 0});
+        }
+        aliases[index].words = offset;
+    }
+    std::sort(aliases.begin(), aliases.end(),
+              [](const ArenaAlias &a, const ArenaAlias &b) {
+                  return a.name < b.name;
+              });
     return aliases;
 }
 
-/** Indexed buffer uses in the kernel text: name -> saw read / write. */
+/** Names of the buffers the kernel text indexes, each list sorted. */
 struct TextAccesses
 {
-    std::set<std::string> reads;
-    std::set<std::string> writes;
+    std::vector<std::string_view> reads;
+    std::vector<std::string_view> writes;
 };
 
 TextAccesses
-collectTextAccesses(const CudaFunction &kernel)
+collectTextAccesses(const CudaProgram &prog, const CudaFunction &kernel)
 {
+    enum : std::uint8_t { kRead = 1, kWrite = 2 };
+    std::vector<std::uint8_t> seen(prog.identifiers.size(), 0);
+    const auto scan = [&](Tokens t, bool statement) {
+        // A head-position `NAME[...] = ...` is a write to NAME; every
+        // other `NAME[` is a read. atomicAdd(&NAME[...],..) counts as a
+        // write.
+        std::size_t write_head = t.size();
+        if (statement && t.size() >= 2 &&
+            t[0].kind == CudaTokenKind::Identifier &&
+            t[1].is(CudaSym::LBracket)) {
+            int depth = 0;
+            for (std::size_t i = 1; i < t.size(); ++i) {
+                if (opensGroup(t[i])) {
+                    ++depth;
+                } else if (closesGroup(t[i])) {
+                    --depth;
+                } else if (depth == 0 && t[i].is(CudaSym::Assign)) {
+                    write_head = 0;
+                    break;
+                }
+            }
+        }
+        for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+            if (t[i].kind != CudaTokenKind::Identifier ||
+                !t[i + 1].is(CudaSym::LBracket)) {
+                continue;
+            }
+            const bool write =
+                i == write_head ||
+                (i >= 3 && t[i - 1].is(CudaSym::Amp) &&
+                 t[i - 2].is(CudaSym::LParen) &&
+                 t[i - 3].is(CudaSym::AtomicAdd));
+            seen[t[i].ident] |= write ? kWrite : kRead;
+        }
+    };
+    for (const CudaStmt &stmt : kernel.stmts) {
+        scan(prog.range(stmt.tokens), /*statement=*/true);
+        scan(prog.range(stmt.init), /*statement=*/false);
+        scan(prog.range(stmt.cond), /*statement=*/false);
+        scan(prog.range(stmt.step), /*statement=*/false);
+    }
+
     TextAccesses out;
-    forEachStmt(kernel, kernel.body, [&](const CudaStmt &stmt) {
-        const auto scan = [&](const std::vector<CudaToken> &t,
-                              bool statement) {
-            // A head-position `NAME[...] = ...` is a write to NAME;
-            // every other `NAME[` is a read. atomicAdd(&NAME[...],..)
-            // counts as a write.
-            std::size_t write_head = t.size();
-            if (statement && t.size() >= 2 &&
-                t[0].kind == CudaTokenKind::Identifier && t[1].is("[")) {
-                int depth = 0;
-                for (std::size_t i = 1; i < t.size(); ++i) {
-                    if (t[i].is("[") || t[i].is("("))
-                        ++depth;
-                    else if (t[i].is("]") || t[i].is(")"))
-                        --depth;
-                    else if (depth == 0 && t[i].is("=")) {
-                        write_head = 0;
-                        break;
-                    }
-                }
-            }
-            for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-                if (t[i].kind != CudaTokenKind::Identifier ||
-                    !t[i + 1].is("[")) {
-                    continue;
-                }
-                if (i == write_head) {
-                    out.writes.insert(t[i].text);
-                } else if (i >= 3 && t[i - 1].is("&") &&
-                           t[i - 2].is("(") &&
-                           t[i - 3].is("atomicAdd")) {
-                    out.writes.insert(t[i].text);
-                } else {
-                    out.reads.insert(t[i].text);
-                }
-            }
-        };
-        scan(stmt.tokens, /*statement=*/true);
-        scan(stmt.init, /*statement=*/false);
-        scan(stmt.cond, /*statement=*/false);
-        scan(stmt.step, /*statement=*/false);
-    });
+    for (std::size_t id = 0; id < seen.size(); ++id) {
+        if (seen[id] & kRead)
+            out.reads.push_back(prog.identifiers[id]);
+        if (seen[id] & kWrite)
+            out.writes.push_back(prog.identifiers[id]);
+    }
+    std::sort(out.reads.begin(), out.reads.end());
+    std::sort(out.writes.begin(), out.writes.end());
     return out;
 }
 
 bool
-endsWith(const std::string &s, const char *suffix)
+contains(const std::vector<std::string_view> &sorted, std::string_view name)
 {
-    const std::size_t n = std::char_traits<char>::length(suffix);
-    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+    return std::binary_search(sorted.begin(), sorted.end(), name);
 }
 
 } // namespace
@@ -1094,7 +1155,8 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
     (void)spec;
     const int errors_before = engine.count(Severity::Error);
 
-    const CudaProgram prog = Parser(lexCudaSource(source)).parse();
+    const CudaTokenStream lexed = lexCudaSource(source);
+    const CudaProgram prog = parseCudaProgram(lexed);
     const CudaFunction *kernel = findKernel(prog);
     if (!prog.ok || kernel == nullptr) {
         engine.report("AS900", plan.name,
@@ -1111,10 +1173,12 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
     const std::int64_t block = plan.launch.block;
 
     // ---- 1. Divergence dataflow: every function with a body. ----
+    DivEnv env;
     for (const CudaFunction &fn : prog.functions) {
         if (fn.body < 0)
             continue;
-        DivergenceWalk walk{fn, plan, engine, grid, block, {}};
+        env.assign(prog.identifiers.size(), kUniform);
+        DivergenceWalk walk{prog, fn, plan, engine, grid, block, env};
         walk.walk(fn.body, kUniform);
     }
 
@@ -1139,13 +1203,12 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
     // AS911: re-derived barrier sequence vs plan.barriers.
     int text_sync = 0;
     int text_grid = 0;
-    forEachSimple(*kernel, kernel->body, [&](const CudaStmt &stmt) {
-        const BarrierKind kind = barrierKindOf(stmt);
-        if (kind == BarrierKind::Sync)
+    for (const CudaStmt &stmt : kernel->stmts) {
+        if (stmt.barrier == BarrierKind::Sync)
             ++text_sync;
-        else if (kind == BarrierKind::Grid)
+        else if (stmt.barrier == BarrierKind::Grid)
             ++text_grid;
-    });
+    }
     int plan_sync = 0;
     int plan_grid = 0;
     for (const BarrierPoint &point : plan.barriers) {
@@ -1179,7 +1242,7 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
     }
 
     // AS912: arena declaration and slot layout.
-    const std::int64_t text_words = declaredArenaWords(*kernel);
+    const std::int64_t text_words = declaredArenaWords(prog, *kernel);
     const std::int64_t plan_words = (plan.smem_per_block + 3) / 4;
     if (plan.smem_per_block > 0 && text_words < 0) {
         engine.report(
@@ -1202,29 +1265,29 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
                    " B): regional buffers can overflow or "
                    "collide"));
     }
-    std::map<std::string, std::pair<std::int64_t, std::int64_t>>
+    std::map<std::string, std::pair<std::int64_t, std::int64_t>, std::less<>>
         expected_slots; // alias -> {offset words, size words}
     for (const SharedSlot &slot : plan.shared_slots) {
         expected_slots[emittedValueName(graph, slot.node) + "_smem"] = {
             slot.offset_bytes / 4,
             std::max<std::int64_t>(1, slot.size_bytes / 4)};
     }
-    for (const auto &alias : arenaAliases(*kernel)) {
-        const auto it = expected_slots.find(alias.first);
+    for (const ArenaAlias &alias : arenaAliases(prog, *kernel)) {
+        const auto it = expected_slots.find(alias.name);
         if (it == expected_slots.end()) {
             engine.report(
                 "AS912", plan.name,
-                strCat("regional buffer ", alias.first,
-                       " (smem + ", alias.second,
+                strCat("regional buffer ", alias.name,
+                       " (smem + ", alias.words,
                        ") has no slot in the planner's arena "
                        "layout"));
             continue;
         }
-        if (alias.second != it->second.first) {
+        if (alias.words != it->second.first) {
             engine.report(
                 "AS912", plan.name,
-                strCat("regional buffer ", alias.first,
-                       " placed at word ", alias.second,
+                strCat("regional buffer ", alias.name,
+                       " placed at word ", alias.words,
                        " but the planner assigned word ",
                        it->second.first,
                        ": buffers alias other slots"));
@@ -1233,7 +1296,7 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
                        text_words) {
             engine.report(
                 "AS912", plan.name,
-                strCat("regional buffer ", alias.first, " spans [",
+                strCat("regional buffer ", alias.name, " spans [",
                        it->second.first, ", ",
                        it->second.first + it->second.second,
                        ") words, past the declared arena of ",
@@ -1243,69 +1306,68 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
 
     // AS914: per-buffer read/write sets vs the access summary.
     if (!plan.accesses.empty()) {
-        std::map<std::string, std::string> known; // text name -> buffer
+        // text name -> buffer
+        std::map<std::string, std::string, std::less<>> known;
         for (const KernelInput &in : plan.inputs) {
             known[emittedValueName(graph, in.node)] =
-                strCat("input:%", in.node);
+                "input:%" + std::to_string(in.node);
         }
         for (NodeId out : plan.outputs) {
             known[emittedValueName(graph, out) + "_out"] =
-                strCat("out:%", out);
+                "out:%" + std::to_string(out);
         }
         for (const ScheduledOp &op : plan.ops) {
             if (op.out_space == BufferSpace::Global) {
                 known[emittedValueName(graph, op.node) + "_g"] =
-                    strCat("scratch:%", op.node);
+                    "scratch:%" + std::to_string(op.node);
             }
         }
-        std::set<std::pair<std::string, AccessKind>> plan_set;
+        std::set<std::pair<std::string_view, AccessKind>> plan_set;
         for (const OpAccess &access : plan.accesses)
             plan_set.emplace(access.buffer, access.kind);
 
-        const TextAccesses text = collectTextAccesses(*kernel);
-        std::set<std::string> reported;
-        const auto infrastructure = [&](const std::string &name) {
-            return isSmemName(name) || endsWith(name, "_partial") ||
+        const TextAccesses text = collectTextAccesses(prog, *kernel);
+        const auto infrastructure = [&](std::string_view name) {
+            return isSmemName(name) || name.ends_with("_partial") ||
                    name == "global_scratch" ||
                    name == "barrier_state" || name == "arrive" ||
                    name == "depart";
         };
-        const auto check_text = [&](const std::string &name,
+        // Each (name, kind) is checked once and its message names
+        // both, so no finding repeats.
+        const auto check_text = [&](std::string_view name,
                                     AccessKind kind) {
             if (infrastructure(name))
                 return;
             const auto it = known.find(name);
             const char *verb =
                 kind == AccessKind::Read ? "reads" : "writes";
-            std::string message;
             if (it == known.end()) {
-                message = strCat(
-                    "emitted text ", verb, " buffer ", name,
-                    " which maps to no input/output/scratch "
-                    "buffer of the plan");
+                engine.report(
+                    "AS914", plan.name,
+                    strCat("emitted text ", verb, " buffer ", name,
+                           " which maps to no input/output/scratch "
+                           "buffer of the plan"));
             } else if (!plan_set.count({it->second, kind})) {
-                message = strCat(
-                    "emitted text ", verb, " ", name, " (",
-                    it->second,
-                    ") but the plan's access summary declares "
-                    "no such access");
-            } else {
-                return;
+                engine.report(
+                    "AS914", plan.name,
+                    strCat("emitted text ", verb, " ", name, " (",
+                           it->second,
+                           ") but the plan's access summary declares "
+                           "no such access"));
             }
-            if (reported.insert(message).second)
-                engine.report("AS914", plan.name, message);
         };
-        for (const std::string &name : text.reads)
+        for (std::string_view name : text.reads)
             check_text(name, AccessKind::Read);
-        for (const std::string &name : text.writes)
+        for (std::string_view name : text.writes)
             check_text(name, AccessKind::Write);
 
         // Plan -> text: every declared off-chip access of a
         // nameable buffer must appear in the text.
-        std::map<std::string, std::string> names; // buffer -> name
+        std::map<std::string_view, std::string_view> names; // buffer -> name
         for (const auto &entry : known)
             names[entry.second] = entry.first;
-        std::set<std::pair<std::string, AccessKind>> seen;
+        std::set<std::pair<std::string_view, AccessKind>> seen;
         for (const OpAccess &access : plan.accesses) {
             if (!seen.emplace(access.buffer, access.kind).second)
                 continue;
@@ -1313,9 +1375,7 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
             if (it == names.end())
                 continue; // smem / remat: not nameable in text
             const bool read = access.kind == AccessKind::Read;
-            const std::set<std::string> &have =
-                read ? text.reads : text.writes;
-            if (!have.count(it->second)) {
+            if (!contains(read ? text.reads : text.writes, it->second)) {
                 engine.report(
                     "AS914", plan.name,
                     strCat("plan declares a ",
@@ -1345,22 +1405,26 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
         }
     }
 
-    // AS922: smem write with a barrier-free path to kernel exit.
-    const Cfg cfg = buildCfg(*kernel);
+    // AS922: smem write with a barrier-free path to kernel exit, i.e.
+    // with a successor that reaches the exit barrier-free.
+    const Cfg cfg = buildCfg(prog, *kernel);
+    const std::vector<char> reach = barrierFreeToExit(cfg);
+    std::vector<char> unordered(cfg.nodes.size(), 0);
+    for (const auto &[from, to] : cfg.edges) {
+        if (cfg.nodes[from].smem_write && reach[to])
+            unordered[from] = 1;
+    }
     for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
-        const CfgNode &node = cfg.nodes[n];
-        if (!node.smem_write)
+        if (!unordered[n])
             continue;
-        if (exitReachableWithoutBarrier(cfg,
-                                        static_cast<int>(n))) {
-            engine.report(
-                "AS922", plan.name,
-                strCat("line ", node.line, ": write to shared "
-                       "buffer ", node.buffer,
-                       " can reach kernel exit without a block "
-                       "barrier: consumers in other threads are "
-                       "unordered against it"));
-        }
+        const CfgNode &node = cfg.nodes[n];
+        engine.report(
+            "AS922", plan.name,
+            strCat("line ", node.line, ": write to shared "
+                   "buffer ", node.buffer,
+                   " can reach kernel exit without a block "
+                   "barrier: consumers in other threads are "
+                   "unordered against it"));
     }
 
     // AS923: task-loop bounds must cover a scheduled extent.
@@ -1375,12 +1439,12 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
             accepted.insert((extent + grid - 1) / grid * grid);
     }
     if (!accepted.empty()) {
-        forEachStmt(*kernel, kernel->body, [&](const CudaStmt &stmt) {
+        for (const CudaStmt &stmt : kernel->stmts) {
             if (stmt.kind != CudaStmt::Kind::For)
-                return;
-            const LoopInfo info = classifyLoop(stmt);
+                continue;
+            const LoopInfo info = classifyLoop(prog, stmt);
             if (!isTaskLoop(info) || !info.upper_bounded)
-                return;
+                continue;
             if (!accepted.count(info.bound)) {
                 engine.report(
                     "AS923", plan.name,
@@ -1392,7 +1456,7 @@ analyzeEmittedCudaSource(const Graph &graph, const std::string &source,
                            "padding): tasks are dropped or "
                            "duplicated"));
             }
-        });
+        }
     }
 
     return engine.count(Severity::Error) == errors_before;
@@ -1412,7 +1476,8 @@ EmittedSourceSurvey
 surveyEmittedCuda(const std::string &source)
 {
     EmittedSourceSurvey survey;
-    const CudaProgram prog = Parser(lexCudaSource(source)).parse();
+    const CudaTokenStream lexed = lexCudaSource(source);
+    const CudaProgram prog = parseCudaProgram(lexed);
     for (const CudaFunction &fn : prog.functions) {
         if (fn.body >= 0)
             ++survey.functions;
@@ -1422,18 +1487,17 @@ surveyEmittedCuda(const std::string &source)
     if (kernel == nullptr)
         return survey;
     survey.launch_bounds_block = kernel->launch_bounds_block;
-    survey.arena_words = declaredArenaWords(*kernel);
-    forEachStmt(*kernel, kernel->body, [&](const CudaStmt &stmt) {
-        const BarrierKind kind = barrierKindOf(stmt);
-        if (kind == BarrierKind::Sync)
+    survey.arena_words = declaredArenaWords(prog, *kernel);
+    for (const CudaStmt &stmt : kernel->stmts) {
+        if (stmt.barrier == BarrierKind::Sync)
             ++survey.sync_statements;
-        else if (kind == BarrierKind::Grid)
+        else if (stmt.barrier == BarrierKind::Grid)
             ++survey.grid_barrier_calls;
         if (stmt.kind == CudaStmt::Kind::For &&
-            isTaskLoop(classifyLoop(stmt))) {
+            isTaskLoop(classifyLoop(prog, stmt))) {
             ++survey.task_loops;
         }
-    });
+    }
     return survey;
 }
 

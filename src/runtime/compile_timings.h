@@ -19,11 +19,12 @@ namespace astitch {
  * Wall-clock fields (clustering_ms, remote_stitch_ms,
  * parallel_section_ms, scheduling_ms) are disjoint spans of the
  * compiling thread and sum to roughly the session's compile_ms.
- * CPU-sum fields (backend_compile_ms, analysis_ms, autotune_ms)
- * accumulate across
- * the parallel compile's threads, so with N threads they can exceed
- * parallel_section_ms — their ratio to it is the effective parallel
- * speedup.
+ * CPU-sum fields (backend_compile_ms, analysis_ms, autotune_ms) are
+ * thread CPU time (CLOCK_THREAD_CPUTIME_ID) accumulated across the
+ * parallel compile's threads: time a thread spends descheduled does
+ * not count, so with N threads they exceed parallel_section_ms only
+ * through real parallelism — their ratio to it is the effective
+ * parallel speedup.
  */
 struct CompilePassTimings
 {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <deque>
 #include <optional>
 
@@ -32,6 +33,16 @@ msSince(SteadyClock::time_point t0)
     return std::chrono::duration<double, std::milli>(SteadyClock::now() -
                                                      t0)
         .count();
+}
+
+/** CPU time the calling thread has consumed; time spent descheduled
+ * does not count. */
+std::int64_t
+threadCpuNs()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
 }
 
 } // namespace
@@ -263,9 +274,11 @@ Session::compileAllClusters(const Graph &graph) const
     // graph/backend/spec. The ladder contains each cluster's failures
     // inside its own body, so (fail_fast aside) nothing propagates
     // through parallelFor except faults of the task layer itself.
-    // CPU time per pass, summed across compile threads. Accumulated in
-    // integer nanoseconds: atomic<double>::fetch_add is not universally
-    // lock-free and loses precision under contention.
+    // CPU time per pass, summed across compile threads. Each cluster
+    // body runs on one thread, so the delta of that thread's CPU clock
+    // is its CPU time. Accumulated in integer nanoseconds:
+    // atomic<double>::fetch_add is not universally lock-free and loses
+    // precision under contention.
     std::atomic<std::int64_t> backend_compile_ns{0};
     std::atomic<std::int64_t> analysis_ns{0};
     std::atomic<std::int64_t> autotune_ns{0};
@@ -286,16 +299,13 @@ Session::compileAllClusters(const Graph &graph) const
     if (tuning_on)
         tuning_db = std::make_unique<TuningDb>(options_.tuning.db_path);
     const auto addNs = [](std::atomic<std::int64_t> &counter,
-                          SteadyClock::time_point t0) {
-        counter.fetch_add(std::chrono::duration_cast<
-                              std::chrono::nanoseconds>(
-                              SteadyClock::now() - t0)
-                              .count(),
+                          std::int64_t cpu_t0) {
+        counter.fetch_add(threadCpuNs() - cpu_t0,
                           std::memory_order_relaxed);
     };
 
     auto compileOne = [&](std::size_t i) {
-        const auto ladder_t0 = SteadyClock::now();
+        const std::int64_t ladder_t0 = threadCpuNs();
         LadderOutcome outcome = compileClusterWithLadder(
             graph, entry.clusters[i], options_.spec, *backend_, policy);
         addNs(backend_compile_ns, ladder_t0);
@@ -306,7 +316,7 @@ Session::compileAllClusters(const Graph &graph) const
         // full pipeline already failed here.
         if (tuning_on &&
             outcome.degradation.level == LadderLevel::FullStitch) {
-            const auto tune_t0 = SteadyClock::now();
+            const std::int64_t tune_t0 = threadCpuNs();
             AutotuneOutcome tuned = autotuneCluster(
                 graph, entry.clusters[i], options_.spec,
                 stitch_backend->options(), outcome.compiled,
@@ -328,7 +338,7 @@ Session::compileAllClusters(const Graph &graph) const
             }
             entry.tuning.clusters[i] = std::move(tuned.result);
         }
-        const auto analysis_t0 = SteadyClock::now();
+        const std::int64_t analysis_t0 = threadCpuNs();
         try {
             analyzeCompiledCluster(graph, entry.clusters[i],
                                    outcome.compiled, options_.spec, engine,

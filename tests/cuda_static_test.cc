@@ -24,6 +24,8 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/cuda_lexer.h"
@@ -79,24 +81,25 @@ failsIn(const DiagnosticEngine &engine, const std::string &prefix)
 
 TEST(CudaStaticLexer, StripsCommentsAndPreprocessor)
 {
-    const auto tokens = lexCudaSource("#include <cuda_runtime.h>\n"
-                                      "int a = 1; // trailing note\n"
-                                      "/* block\n comment */ b += 2;\n");
-    std::vector<std::string> texts;
-    for (const CudaToken &t : tokens) {
+    const CudaTokenStream lexed =
+        lexCudaSource("#include <cuda_runtime.h>\n"
+                      "int a = 1; // trailing note\n"
+                      "/* block\n comment */ b += 2;\n");
+    std::vector<std::string_view> texts;
+    for (const CudaToken &t : lexed.tokens) {
         if (t.kind != CudaTokenKind::End)
             texts.push_back(t.text);
     }
-    const std::vector<std::string> expected = {"int", "a", "=", "1", ";",
-                                               "b", "+=", "2", ";"};
+    const std::vector<std::string_view> expected = {
+        "int", "a", "=", "1", ";", "b", "+=", "2", ";"};
     EXPECT_EQ(texts, expected);
 }
 
 TEST(CudaStaticLexer, PunctuationLexesLongestMatch)
 {
-    const auto tokens = lexCudaSource("a += b->c <<< d");
-    std::vector<std::string> puncts;
-    for (const CudaToken &t : tokens) {
+    const CudaTokenStream lexed = lexCudaSource("a += b->c <<< d");
+    std::vector<std::string_view> puncts;
+    for (const CudaToken &t : lexed.tokens) {
         if (t.kind == CudaTokenKind::Punct)
             puncts.push_back(t.text);
     }
@@ -111,12 +114,50 @@ TEST(CudaStaticLexer, PunctuationLexesLongestMatch)
 
 TEST(CudaStaticLexer, TracksLinesAndIntegerValues)
 {
-    const auto tokens = lexCudaSource("x\n  1024\n");
+    const std::vector<CudaToken> tokens = lexCudaSource("x\n  1024\n").tokens;
     ASSERT_GE(tokens.size(), 3u);
     EXPECT_EQ(tokens[0].line, 1);
     EXPECT_EQ(tokens[1].line, 2);
     EXPECT_TRUE(tokens[1].is_integer);
     EXPECT_EQ(tokens[1].value, 1024);
+}
+
+/** Tokens view their source: an rvalue string must not be lexable. */
+template <typename S>
+concept Lexable = requires(S &&source) {
+    lexCudaSource(std::forward<S>(source));
+};
+static_assert(Lexable<const std::string &>);
+static_assert(Lexable<std::string_view>);
+static_assert(Lexable<const char *>);
+static_assert(!Lexable<std::string>);
+
+TEST(CudaStaticLexer, ClassifiesSymbolsAndInternsIdentifiers)
+{
+    const CudaTokenStream lexed =
+        lexCudaSource("for (x = threadIdx.x; x < y; x += 2) __syncthreads();");
+    const std::vector<CudaToken> &t = lexed.tokens;
+    ASSERT_EQ(t.size(), 21u);
+    EXPECT_EQ(t[0].sym, CudaSym::For);
+    EXPECT_EQ(t[1].sym, CudaSym::LParen);
+    EXPECT_EQ(t[3].sym, CudaSym::Assign);
+    EXPECT_EQ(t[4].sym, CudaSym::ThreadIdx);
+    EXPECT_EQ(t[5].sym, CudaSym::Dot);
+    EXPECT_EQ(t[9].sym, CudaSym::Less);
+    EXPECT_EQ(t[13].sym, CudaSym::PlusAssign);
+    EXPECT_EQ(t[16].sym, CudaSym::SyncThreads);
+    EXPECT_EQ(t[2].sym, CudaSym::None); // x: a plain identifier
+    // Every spelling of x shares one id; ids count up from 0.
+    EXPECT_EQ(t[2].ident, t[8].ident);
+    EXPECT_EQ(t[2].ident, t[12].ident);
+    EXPECT_NE(t[2].ident, t[10].ident);
+    EXPECT_EQ(t[0].ident, 0);
+    EXPECT_EQ(lexed.identifiers.at(t[10].ident), "y");
+    EXPECT_EQ(t[1].ident, -1);
+    // Tokens view the source they were lexed from.
+    const std::string source = "float *p_smem;";
+    const CudaTokenStream viewed = lexCudaSource(source);
+    EXPECT_EQ(viewed.tokens[2].text.data(), source.data() + 7);
 }
 
 // ---------------------------------------------------------------------
