@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "support/logging.h"
+#include "support/strings.h"
 
 namespace astitch {
 
@@ -66,25 +67,30 @@ bool AffineIndex::operator==(const AffineIndex &other) const
 
 std::string AffineIndex::toString() const
 {
-    std::ostringstream out;
-    out << offset;
+    std::string out;
+    appendTo(out);
+    return out;
+}
+
+void AffineIndex::appendTo(std::string &out) const
+{
+    strAppend(out, offset);
     auto term = [&out](std::int64_t coeff, const char *var) {
         if (coeff == 0) {
             return;
         }
         if (coeff == 1) {
-            out << " + " << var;
+            strAppend(out, " + ", var);
         } else {
-            out << " + " << coeff << "*" << var;
+            strAppend(out, " + ", coeff, '*', var);
         }
     };
     term(coeff_block, "b");
     term(coeff_task, "t");
     term(coeff_iter, "i");
     term(coeff_thread, "th");
-    out << "  (b<" << num_blocks << ",t<" << num_tasks << ",i<" << num_iters
-        << ",th<" << num_threads << ")";
-    return out.str();
+    strAppend(out, "  (b<", num_blocks, ",t<", num_tasks, ",i<", num_iters,
+              ",th<", num_threads, ')');
 }
 
 std::int64_t OpAccess::effectiveMax() const
@@ -111,21 +117,37 @@ std::int64_t OpAccess::touchedElements() const
 
 std::string OpAccess::toString() const
 {
-    std::ostringstream out;
-    out << accessKindName(kind) << " " << accessSpaceName(space) << " "
-        << buffer << "[" << index.toString() << "]"
-        << " extent=" << extent << " elem=" << elem_bytes
-        << "B stride=" << warp_stride;
+    std::string out;
+    appendTo(out);
+    return out;
+}
+
+void OpAccess::appendTo(std::string &out) const
+{
+    strAppend(out, accessKindName(kind), ' ', accessSpaceName(space), ' ',
+              buffer, '[');
+    index.appendTo(out);
+    strAppend(out, "] extent=", extent, " elem=", elem_bytes,
+              "B stride=", warp_stride);
     if (guard >= 0) {
-        out << " if<" << guard;
+        strAppend(out, " if<", guard);
     }
     if (repeat != 1.0) {
-        out << " x" << repeat;
+        // Whole repeats below 1e6 print as a stream's %g would;
+        // fractional (and huge) ones take the stream itself.
+        const bool whole = repeat >= 1.0 && repeat < 1e6 &&
+                           repeat == std::floor(repeat);
+        if (whole) {
+            strAppend(out, " x", static_cast<std::int64_t>(repeat));
+        } else {
+            std::ostringstream text;
+            text << " x" << repeat;
+            out += text.str();
+        }
     }
     if (!counts_traffic) {
-        out << " (no-traffic)";
+        out += " (no-traffic)";
     }
-    return out.str();
 }
 
 AffineIndex linearEnumeration(std::int64_t extent, std::int64_t num_blocks,

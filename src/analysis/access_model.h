@@ -107,6 +107,9 @@ struct AffineIndex
 
     /** "o + 8192*b + 1024*t + 256*i + th  (b<4,t<8,i<4,th<256)" */
     std::string toString() const;
+
+    /** Append toString()'s text to @p out. */
+    void appendTo(std::string &out) const;
 };
 
 /** One memory access performed by one scheduled op. */
@@ -170,6 +173,9 @@ struct OpAccess
 
     /** One-line rendering for diagnostics and the CUDA emitter. */
     std::string toString() const;
+
+    /** Append toString()'s text to @p out. */
+    void appendTo(std::string &out) const;
 };
 
 /**

@@ -1,10 +1,10 @@
 #include "core/cuda_emitter.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <sstream>
+#include <cctype>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "compiler/thread_mapping.h"
 #include "support/logging.h"
@@ -14,79 +14,123 @@ namespace astitch {
 
 namespace {
 
-/** C identifier for a node's value. */
-std::string
-valueName(const Graph &graph, NodeId id)
-{
-    std::string name = graph.node(id).name();
-    for (char &c : name) {
-        if (!std::isalnum(static_cast<unsigned char>(c)))
-            c = '_';
-    }
-    return "v_" + name;
-}
+// Reservation per kernel, sized from the emitted zoo and Sec 6.4.1
+// kernels so one allocation usually holds the whole text.
+constexpr std::size_t kSourceBytesFixed = 1024;
+constexpr std::size_t kSourceBytesPerAccess = 128;
+constexpr std::size_t kSourceBytesPerOp = 256;
 
-/** The scalar C expression computing one element of @p node. */
-std::string
-elementExpr(const Graph &graph, const Node &node,
-            const std::vector<std::string> &operand)
+/**
+ * C identifiers ("v_<name>", non-alphanumerics as '_') of the nodes one
+ * kernel mentions, each built once per kernel.
+ */
+class ValueNames
 {
+  public:
+    explicit ValueNames(const Graph &graph) : graph_(graph) {}
+
+    const std::string &
+    operator()(NodeId id)
+    {
+        auto [it, inserted] = names_.try_emplace(id);
+        if (inserted) {
+            const std::string &name = graph_.node(id).name();
+            std::string &ident = it->second;
+            ident.reserve(name.size() + 2);
+            ident += "v_";
+            for (char c : name) {
+                ident += std::isalnum(static_cast<unsigned char>(c))
+                             ? c
+                             : '_';
+            }
+        }
+        return it->second;
+    }
+
+  private:
+    const Graph &graph_;
+    std::unordered_map<NodeId, std::string> names_;
+};
+
+/**
+ * Append the scalar C expression computing one element of @p node;
+ * @p operand(k) appends the reference to its k-th operand. Every
+ * expression names its operands in order, each once.
+ */
+template <typename AppendOperand>
+void
+appendElementExpr(std::string &out, const Graph &graph, const Node &node,
+                  AppendOperand &&operand)
+{
+    const auto unary = [&](std::string_view open, std::string_view close) {
+        out += open;
+        operand(0);
+        out += close;
+    };
+    const auto binary = [&](std::string_view open, std::string_view mid,
+                            std::string_view close) {
+        out += open;
+        operand(0);
+        out += mid;
+        operand(1);
+        out += close;
+    };
     switch (node.kind()) {
       case OpKind::Add:
-        return strCat(operand[0], " + ", operand[1]);
+        return binary("", " + ", "");
       case OpKind::Sub:
-        return strCat(operand[0], " - ", operand[1]);
+        return binary("", " - ", "");
       case OpKind::Mul:
-        return strCat(operand[0], " * ", operand[1]);
+        return binary("", " * ", "");
       case OpKind::Div:
-        return strCat(operand[0], " / ", operand[1]);
+        return binary("", " / ", "");
       case OpKind::Maximum:
-        return strCat("fmaxf(", operand[0], ", ", operand[1], ")");
+        return binary("fmaxf(", ", ", ")");
       case OpKind::Minimum:
-        return strCat("fminf(", operand[0], ", ", operand[1], ")");
+        return binary("fminf(", ", ", ")");
       case OpKind::Neg:
-        return strCat("-(", operand[0], ")");
+        return unary("-(", ")");
       case OpKind::Abs:
-        return strCat("fabsf(", operand[0], ")");
+        return unary("fabsf(", ")");
       case OpKind::CompareGT:
-        return strCat("(", operand[0], " > ", operand[1],
-                      ") ? 1.0f : 0.0f");
+        return binary("(", " > ", ") ? 1.0f : 0.0f");
       case OpKind::Select:
-        return strCat("(", operand[0], " != 0.0f) ? ", operand[1],
-                      " : ", operand[2]);
+        binary("(", " != 0.0f) ? ", " : ");
+        operand(2);
+        return;
       case OpKind::Tanh:
-        return strCat("tanhf(", operand[0], ")");
+        return unary("tanhf(", ")");
       case OpKind::Exp:
-        return strCat("__expf(", operand[0], ")");
+        return unary("__expf(", ")");
       case OpKind::Log:
-        return strCat("__logf(", operand[0], ")");
+        return unary("__logf(", ")");
       case OpKind::Power:
-        return strCat("powf(", operand[0], ", ",
-                      strFixed(node.attrs().exponent, 1), "f)");
+        unary("powf(", ", ");
+        strAppend(out, strFixed(node.attrs().exponent, 1), "f)");
+        return;
       case OpKind::Sqrt:
-        return strCat("sqrtf(", operand[0], ")");
+        return unary("sqrtf(", ")");
       case OpKind::Rsqrt:
-        return strCat("rsqrtf(", operand[0], ")");
+        return unary("rsqrtf(", ")");
       case OpKind::Sigmoid:
-        return strCat("1.0f / (1.0f + __expf(-(", operand[0], ")))");
+        return unary("1.0f / (1.0f + __expf(-(", ")))");
       case OpKind::Erf:
-        return strCat("erff(", operand[0], ")");
+        return unary("erff(", ")");
       // A concat reads through every source: each operand covers one
-      // contiguous element range of the result.
+      // contiguous element range of the result, selected by a chain of
+      // (elem < prefix) tests nested right to left.
       case OpKind::Concat: {
-        if (operand.size() == 1)
-            return operand[0];
-        std::string expr = operand.back();
+        const std::size_t n = node.operands().size();
         std::int64_t prefix = 0;
-        for (std::size_t k = 0; k + 1 < operand.size(); ++k)
+        for (std::size_t k = 0; k + 1 < n; ++k) {
             prefix += graph.node(node.operands()[k]).shape().numElements();
-        for (std::size_t k = operand.size() - 1; k-- > 0;) {
-            expr = strCat("(elem < ", prefix, ") ? ", operand[k], " : (",
-                          expr, ")");
-            prefix -=
-                graph.node(node.operands()[k]).shape().numElements();
+            strAppend(out, "(elem < ", prefix, ") ? ");
+            operand(k);
+            out += " : (";
         }
-        return expr;
+        operand(n - 1);
+        out.append(n - 1, ')');
+        return;
       }
       // Data movement reads through an index remap; the value itself is
       // the operand.
@@ -96,31 +140,44 @@ elementExpr(const Graph &graph, const Node &node,
       case OpKind::Slice:
       case OpKind::Pad:
       case OpKind::Gather:
-        return operand[0];
+        return operand(0);
       default:
         panic("elementExpr on non-elementwise op ", node.name());
     }
 }
 
-/** Writer with indentation. */
+/** Writer with indentation, appending straight into one string. */
 class SourceWriter
 {
   public:
+    explicit SourceWriter(std::string &out) : out_(out) {}
+
+    /** One indented line of @p pieces (strings, chars, integers);
+     * line() with no pieces is an empty, unindented line. */
+    template <typename... Pieces>
     void
-    line(const std::string &text = "")
+    line(const Pieces &...pieces)
     {
-        if (!text.empty())
-            oss_ << std::string(indent_ * 4, ' ') << text;
-        oss_ << '\n';
+        if constexpr (sizeof...(pieces) > 0) {
+            indent();
+            strAppend(out_, pieces...);
+        }
+        out_ += '\n';
     }
+
+    /** Start a line the caller appends to the buffer in place; end it
+     * with close(). */
+    void open() { indent(); }
+
+    void close() { out_ += '\n'; }
 
     void push() { ++indent_; }
     void pop() { --indent_; }
 
-    std::string str() const { return oss_.str(); }
-
   private:
-    std::ostringstream oss_;
+    void indent() { out_.append(static_cast<std::size_t>(indent_) * 4, ' '); }
+
+    std::string &out_;
     int indent_ = 0;
 };
 
@@ -157,11 +214,11 @@ emitGridBarrierHelper(SourceWriter &w)
 std::string
 makeLaunchStub(const KernelPlan &plan)
 {
-    std::ostringstream stub;
-    stub << plan.name << "<<<" << plan.launch.grid << ", "
-         << plan.launch.block << ", " << plan.smem_per_block
-         << ">>>(...); // -maxrregcount=" << plan.regs_per_thread;
-    return stub.str();
+    std::string stub;
+    strAppend(stub, plan.name, "<<<", plan.launch.grid, ", ",
+              plan.launch.block, ", ", plan.smem_per_block,
+              ">>>(...); // -maxrregcount=", plan.regs_per_thread);
+    return stub;
 }
 
 } // namespace
@@ -176,12 +233,18 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
     CudaEmission emission;
     emission.kernel_name = plan.name;
 
-    SourceWriter w;
-    w.line(strCat("// Generated by AStitch stitch codegen for cluster "
-                  "of ",
-                  cluster.nodes.size(), " ops."));
-    w.line(strCat("// Device: ", spec.name, "; wave capacity ",
-                  launch.blocks_per_wave, " blocks."));
+    // The whole kernel is appended into this one string.
+    std::string &out = emission.source;
+    out.reserve(kSourceBytesFixed +
+                kSourceBytesPerAccess * plan.accesses.size() +
+                kSourceBytesPerOp * plan.ops.size());
+    SourceWriter w(out);
+    ValueNames name(graph);
+
+    w.line("// Generated by AStitch stitch codegen for cluster of ",
+           cluster.nodes.size(), " ops.");
+    w.line("// Device: ", spec.name, "; wave capacity ",
+           launch.blocks_per_wave, " blocks.");
     w.line("#include <cuda_runtime.h>");
     w.line();
     if (plan.num_global_barriers > 0) {
@@ -192,47 +255,52 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
     // ---- Access summary: the structured per-op index expressions the
     // kernel-access verifier checked this emission against. ----
     if (!plan.accesses.empty()) {
-        w.line(strCat("// access summary (", plan.accesses.size(),
-                      " entries; index = offset + c_b*b + c_t*t + "
-                      "c_i*i + c_th*th):"));
-        for (const OpAccess &access : plan.accesses)
-            w.line(strCat("//   op", access.op_index, ": ",
-                          access.toString()));
+        w.line("// access summary (", plan.accesses.size(),
+               " entries; index = offset + c_b*b + c_t*t + c_i*i + "
+               "c_th*th):");
+        for (const OpAccess &access : plan.accesses) {
+            w.open();
+            strAppend(out, "//   op", access.op_index, ": ");
+            access.appendTo(out);
+            w.close();
+        }
         w.line();
     }
 
     // ---- Signature. ----
-    std::vector<std::string> params;
+    w.line("extern \"C\" __global__ void");
+    w.line("__launch_bounds__(", plan.launch.block, ", ",
+           std::max(1, static_cast<int>(launch.blocks_per_wave /
+                                        std::max(1, spec.num_sms))),
+           ") // regs/thread bound (assume-relax-apply): ",
+           plan.regs_per_thread);
+    w.open();
+    strAppend(out, plan.name, '(');
+    std::string_view sep;
     for (const KernelInput &in : plan.inputs) {
-        params.push_back(strCat("const float *__restrict__ ",
-                                valueName(graph, in.node)));
+        strAppend(out, sep, "const float *__restrict__ ", name(in.node));
+        sep = ", ";
     }
-    for (NodeId out : plan.outputs) {
-        params.push_back(strCat("float *__restrict__ ",
-                                valueName(graph, out), "_out"));
+    for (NodeId id : plan.outputs) {
+        strAppend(out, sep, "float *__restrict__ ", name(id), "_out");
+        sep = ", ";
     }
-    if (memory.global_scratch_bytes > 0)
-        params.push_back("float *__restrict__ global_scratch");
+    if (memory.global_scratch_bytes > 0) {
+        strAppend(out, sep, "float *__restrict__ global_scratch");
+        sep = ", ";
+    }
     if (plan.num_global_barriers > 0)
-        params.push_back("int *barrier_state");
-
-    w.line(strCat("extern \"C\" __global__ void"));
-    w.line(strCat("__launch_bounds__(", plan.launch.block, ", ",
-                  std::max(1, static_cast<int>(
-                                  launch.blocks_per_wave /
-                                  std::max(1, spec.num_sms))),
-                  ") // regs/thread bound (assume-relax-apply): ",
-                  plan.regs_per_thread));
-    w.line(strCat(plan.name, "(", strJoin(params, ", "), ")"));
+        strAppend(out, sep, "int *barrier_state");
+    out += ')';
+    w.close();
     w.line("{");
     w.push();
 
     // ---- Shared-memory arena. ----
     if (plan.smem_per_block > 0) {
-        w.line(strCat("__shared__ float smem[",
-                      (plan.smem_per_block + 3) / 4,
-                      "]; // planner: ", plan.smem_per_block,
-                      " B/block after liveness reuse"));
+        w.line("__shared__ float smem[", (plan.smem_per_block + 3) / 4,
+               "]; // planner: ", plan.smem_per_block,
+               " B/block after liveness reuse");
     }
 
     // Scheme per node for quick lookup.
@@ -244,13 +312,15 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
     // even when dominant merging is off and an op renders in several
     // groups), so the text and the metadata agree by construction —
     // and the emitted-source analyzer can hold them to that.
-    std::map<NodeId, int> op_pos;
+    std::unordered_map<NodeId, int> op_pos;
+    op_pos.reserve(plan.ops.size());
     for (std::size_t i = 0; i < plan.ops.size(); ++i)
         op_pos.emplace(plan.ops[i].node, static_cast<int>(i));
     std::unordered_map<NodeId, const SharedSlot *> slot_of;
     for (const SharedSlot &slot : plan.shared_slots)
         slot_of.emplace(slot.node, &slot);
-    const std::set<NodeId> outputs(plan.outputs.begin(), plan.outputs.end());
+    const std::unordered_set<NodeId> outputs(plan.outputs.begin(),
+                                             plan.outputs.end());
     // Indices into plan.barriers per schedule position, ascending.
     std::vector<std::vector<std::size_t>> barriers_at(plan.ops.size());
     for (std::size_t b = 0; b < plan.barriers.size(); ++b) {
@@ -308,26 +378,21 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
             padded ? (extent + grid - 1) / grid * grid : extent;
 
         w.line();
-        w.line(strCat("// ---- group ", g, ": dominant ", dom.name(),
-                      ", logical launch ",
-                      sched.mapping.launch.toString(),
-                      sched.proactively_adapted
-                          ? " (proactively adapted)"
-                          : "",
-                      " ----"));
+        w.line("// ---- group ", g, ": dominant ", dom.name(),
+               ", logical launch <<<", sched.mapping.launch.grid, ", ",
+               sched.mapping.launch.block, ">>>",
+               sched.proactively_adapted ? " (proactively adapted)" : "",
+               " ----");
 
         // Vertical packing: each physical block walks its logical tasks.
-        w.line(strCat("for (long task = blockIdx.x; task < ", bound,
-                      "; task += gridDim.x) { // vertical packing x",
-                      tasks,
-                      padded ? ", padded for uniform barrier trips"
-                             : ""));
+        w.line("for (long task = blockIdx.x; task < ", bound,
+               "; task += gridDim.x) { // vertical packing x", tasks,
+               padded ? ", padded for uniform barrier trips" : "");
         w.push();
         bool guard_open = false;
         const auto open_guard = [&] {
             if (padded && !guard_open) {
-                w.line(strCat("if (task < ", extent,
-                              ") { // logical task extent"));
+                w.line("if (task < ", extent, ") { // logical task extent");
                 w.push();
                 guard_open = true;
             }
@@ -345,47 +410,53 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
 
         for (NodeId id : group.members) {
             const Node &node = graph.node(id);
-            const std::string value = valueName(graph, id);
-            std::vector<std::string> operands;
-            for (NodeId op : node.operands()) {
-                std::string ref = valueName(graph, op);
-                if (!cluster.contains(op)) {
-                    // Kernel input: a coalesced global load.
-                    ref = strCat(ref, "[elem]");
-                }
-                // A producer that is itself a kernel output is
-                // materialized to its _out buffer, not staged through
-                // the scheme buffers — consumers keep the live register
-                // (Local reuse), matching the plan's access summaries.
-                const bool op_is_output = outputs.count(op) > 0;
+            const std::string &value = name(id);
+
+            // Append the reference to operand @p k: a kernel input is a
+            // coalesced global load. A producer that is itself a kernel
+            // output is materialized to its _out buffer, not staged
+            // through the scheme buffers — consumers keep the live
+            // register (Local reuse), matching the plan's access
+            // summaries.
+            const auto operand = [&](std::size_t k) {
+                const NodeId op = node.operands()[k];
+                out += name(op);
+                if (!cluster.contains(op))
+                    out += "[elem]";
                 const auto scheme = schemes.find(op);
-                if (scheme != schemes.end() && !op_is_output) {
-                    if (scheme->second == StitchScheme::Regional)
-                        ref = strCat(ref, "_smem[threadIdx.x % ",
-                                     std::max<std::int64_t>(
-                                         1, sched.mapping.rows_per_block),
-                                     "]");
-                    else if (scheme->second == StitchScheme::Global)
-                        ref = strCat(ref, "_g[task]");
+                if (scheme == schemes.end() || outputs.count(op) > 0)
+                    return;
+                if (scheme->second == StitchScheme::Regional) {
+                    strAppend(out, "_smem[threadIdx.x % ",
+                              std::max<std::int64_t>(
+                                  1, sched.mapping.rows_per_block),
+                              ']');
+                } else if (scheme->second == StitchScheme::Global) {
+                    out += "_g[task]";
                 }
-                operands.push_back(ref);
-            }
+            };
 
             open_guard();
             if (node.kind() == OpKind::Gather &&
                 node.operands().size() >= 2) {
                 // A gather reads through its index tensor:
                 // out[e] = table[(long)indices[e]].
-                w.line(strCat("const long ", value, "_idx = (long)",
-                              operands[1], "; // gather indices"));
+                w.open();
+                strAppend(out, "const long ", value, "_idx = (long)");
+                operand(1);
+                out += "; // gather indices";
+                w.close();
                 const NodeId table = node.operands()[0];
-                std::string table_ref = operands[0];
+                w.open();
+                strAppend(out, "float ", value, " = ");
                 if (!cluster.contains(table) &&
                     schemes.find(table) == schemes.end()) {
-                    table_ref = strCat(valueName(graph, table), "[",
-                                       value, "_idx]");
+                    strAppend(out, name(table), '[', value, "_idx]");
+                } else {
+                    operand(0);
                 }
-                w.line(strCat("float ", value, " = ", table_ref, ";"));
+                out += ';';
+                w.close();
             } else if (isReduce(node.kind())) {
                 const ReduceInfo info = analyzeReduce(graph, id);
                 const char *combine =
@@ -396,46 +467,48 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
                     node.kind() == OpKind::ReduceMax   ? "-INFINITY"
                     : node.kind() == OpKind::ReduceMin ? "INFINITY"
                                                        : "0.0f";
-                w.line(strCat("// ", node.name(), ": ",
-                              info.is_row_reduce ? "row" : "column",
-                              "-reduce <", info.rows, ",", info.cols,
-                              ">, ", sched.mapping.rows_per_block,
-                              " row(s)/block",
-                              sched.mapping.split_factor > 1
-                                  ? strCat(", split x",
-                                           sched.mapping.split_factor)
-                                  : ""));
-                w.line(strCat("float ", value, " = ", init, ";"));
-                w.line(strCat("for (long c = threadIdx.x; c < ",
-                              info.cols, "; c += blockDim.x) {"));
+                w.open();
+                strAppend(out, "// ", node.name(), ": ",
+                          info.is_row_reduce ? "row" : "column",
+                          "-reduce <", info.rows, ',', info.cols, ">, ",
+                          sched.mapping.rows_per_block, " row(s)/block");
+                if (sched.mapping.split_factor > 1)
+                    strAppend(out, ", split x", sched.mapping.split_factor);
+                w.close();
+                w.line("float ", value, " = ", init, ';');
+                w.line("for (long c = threadIdx.x; c < ", info.cols,
+                       "; c += blockDim.x) {");
                 w.push();
-                w.line(strCat("float acc = ", value, ", x = ",
-                              operands[0], ";"));
-                w.line(strCat(value, " = ", combine, ";"));
+                w.open();
+                strAppend(out, "float acc = ", value, ", x = ");
+                operand(0);
+                out += ';';
+                w.close();
+                w.line(value, " = ", combine, ';');
                 w.pop();
                 w.line("}");
-                w.line(strCat(value, " = blockReduce(", value,
-                              ", smem); // tree reduce, 2 sync phases"));
-                if (node.kind() == OpKind::ReduceMean) {
-                    w.line(strCat(value, " /= ", info.cols, ".0f;"));
-                }
+                w.line(value, " = blockReduce(", value,
+                       ", smem); // tree reduce, 2 sync phases");
+                if (node.kind() == OpKind::ReduceMean)
+                    w.line(value, " /= ", info.cols, ".0f;");
                 if (sched.mapping.uses_atomics) {
-                    w.line(strCat("atomicAdd(&", value,
-                                  "_partial[task], ", value,
-                                  "); // cross-block finalize"));
+                    w.line("atomicAdd(&", value, "_partial[task], ", value,
+                           "); // cross-block finalize");
                 }
             } else if (!isSource(node.kind())) {
-                w.line(strCat("float ", value, " = ",
-                              elementExpr(graph, node, operands), ";"));
+                w.open();
+                strAppend(out, "float ", value, " = ");
+                appendElementExpr(out, graph, node, operand);
+                out += ';';
+                w.close();
             }
 
             // Buffer the result per its stitching scheme.
             const auto scheme = schemes.find(id);
             const bool is_output = outputs.count(id) > 0;
             if (is_output) {
-                w.line(strCat(value, "_out[task * blockDim.x + "
-                              "threadIdx.x] = ",
-                              value, ";"));
+                w.line(value, "_out[task * blockDim.x + threadIdx.x] = ",
+                       value, ';');
             } else if (scheme != schemes.end()) {
                 if (scheme->second == StitchScheme::Regional) {
                     const auto found = slot_of.find(id);
@@ -447,19 +520,17 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
                         slot ? std::max<std::int64_t>(
                                    1, slot->size_bytes / 4)
                              : 1;
-                    w.line(strCat("float *", value, "_smem = smem + ",
-                                  offset_words,
-                                  "; // regional buffer, planner slot, ",
-                                  words, " floats/block"));
-                    w.line(strCat(value, "_smem[threadIdx.x % ", words,
-                                  "] = ", value, ";"));
+                    w.line("float *", value, "_smem = smem + ",
+                           offset_words,
+                           "; // regional buffer, planner slot, ", words,
+                           " floats/block");
+                    w.line(value, "_smem[threadIdx.x % ", words, "] = ",
+                           value, ';');
                 } else if (scheme->second == StitchScheme::Global) {
-                    w.line(strCat("float *", value,
-                                  "_g = global_scratch + ",
-                                  scratch_offset, ";"));
-                    w.line(strCat(value, "_g[task * blockDim.x + "
-                                  "threadIdx.x] = ",
-                                  value, ";"));
+                    w.line("float *", value, "_g = global_scratch + ",
+                           scratch_offset, ';');
+                    w.line(value, "_g[task * blockDim.x + threadIdx.x] = ",
+                           value, ';');
                     scratch_offset += node.shape().numElements();
                 }
             }
@@ -486,12 +557,11 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
                                  "separator");
                 } else {
                     close_guard();
-                    w.line(strCat(
-                        "grid_barrier(barrier_state + ",
-                        2 * device_barriers_emitted,
-                        ", barrier_state + ",
-                        2 * device_barriers_emitted + 1,
-                        "); // global scheme boundary"));
+                    w.line("grid_barrier(barrier_state + ",
+                           2 * device_barriers_emitted,
+                           ", barrier_state + ",
+                           2 * device_barriers_emitted + 1,
+                           "); // global scheme boundary");
                     ++device_barriers_emitted;
                 }
             }
@@ -503,7 +573,6 @@ renderStitchKernelCuda(const Graph &graph, const Cluster &cluster,
 
     w.pop();
     w.line("}");
-    emission.source = w.str();
     emission.launch_stub = makeLaunchStub(plan);
     return emission;
 }

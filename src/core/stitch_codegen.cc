@@ -15,6 +15,15 @@ namespace astitch {
 
 namespace {
 
+/** An access-summary buffer identity: "<space>:%<id>". */
+std::string
+bufferName(std::string_view prefix, NodeId id)
+{
+    std::string name;
+    strAppend(name, prefix, id);
+    return name;
+}
+
 /** Trip count of a barrier emitted after op @p i: its packed task loop. */
 std::int64_t
 tripCountAt(const KernelPlan &plan, int i)
@@ -414,7 +423,7 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
             }
             linear_access(input.node, std::max(0, consumer),
                           AccessKind::Read, AccessSpace::Global,
-                          strCat("input:%", input.node),
+                          bufferName("input:%", input.node),
                           consumer >= 0 ? plan.ops[consumer].partition
                                         : OpPartition{},
                           input.load_factor, read_stride, true);
@@ -437,13 +446,13 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
               case BufferSpace::Global:
                 linear_access(op.node, pos, AccessKind::Write,
                               AccessSpace::Scratch,
-                              strCat("scratch:%", op.node),
+                              bufferName("scratch:%", op.node),
                               op.partition, 1.0, write_stride, true);
                 break;
               case BufferSpace::Output:
                 linear_access(op.node, pos, AccessKind::Write,
                               AccessSpace::Global,
-                              strCat("out:%", op.node), op.partition,
+                              bufferName("out:%", op.node), op.partition,
                               1.0, write_stride, true);
                 break;
             }
@@ -458,7 +467,7 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
                     linear_access(
                         operand, pos, AccessKind::Read,
                         AccessSpace::Scratch,
-                        strCat("scratch:%", operand), op.partition,
+                        bufferName("scratch:%", operand), op.partition,
                         1.0, read_stride,
                         scratch_read_counted.insert(operand).second);
                 }
@@ -472,7 +481,7 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
                 continue;
             const int pos = op_pos.at(id);
             linear_access(id, pos, AccessKind::Read,
-                          AccessSpace::Global, strCat("remat:%", id),
+                          AccessSpace::Global, bufferName("remat:%", id),
                           plan.ops[pos].partition,
                           static_cast<double>(extra), read_stride,
                           true);
@@ -489,7 +498,7 @@ compileStitchOp(const Graph &graph, const Cluster &cluster,
             }
             linear_access(op.node, static_cast<int>(i),
                           AccessKind::Read, AccessSpace::Scratch,
-                          strCat("scratch:%", op.node), op.partition,
+                          bufferName("scratch:%", op.node), op.partition,
                           1.0, read_stride, true);
         }
     }

@@ -5,8 +5,11 @@
 #ifndef ASTITCH_SUPPORT_STRINGS_H
 #define ASTITCH_SUPPORT_STRINGS_H
 
+#include <charconv>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace astitch {
@@ -19,6 +22,51 @@ strCat(Args &&...args)
     std::ostringstream oss;
     (oss << ... << std::forward<Args>(args));
     return oss.str();
+}
+
+namespace detail {
+
+inline void
+appendPiece(std::string &out, std::string_view text)
+{
+    out.append(text);
+}
+
+inline void
+appendPiece(std::string &out, char c)
+{
+    out.push_back(c);
+}
+
+// A bool would otherwise convert to char; a stream prints it as 1/0.
+template <typename Bool>
+    requires std::is_same_v<Bool, bool>
+void appendPiece(std::string &out, Bool value) = delete;
+
+// Integers print exactly as a stream prints them. One-byte types take
+// the char overload above, as a stream prints them as characters.
+template <typename Int>
+    requires std::is_integral_v<Int> && (sizeof(Int) > 1)
+void
+appendPiece(std::string &out, Int value)
+{
+    char digits[24];
+    const auto end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+    out.append(digits, end);
+}
+
+} // namespace detail
+
+/**
+ * Append string pieces, chars and integers to @p out in place: the
+ * stream-free counterpart of strCat for hot text paths. Integers go
+ * through std::to_chars and match strCat's text byte for byte.
+ */
+template <typename... Args>
+void
+strAppend(std::string &out, const Args &...args)
+{
+    (detail::appendPiece(out, args), ...);
 }
 
 /** Join a range of streamable values with a separator. */

@@ -114,6 +114,53 @@ TEST(CudaEmitterGolden, Fig5GlobalMatchesGolden)
     expectMatchesGolden("fig5_global.cu", emission.source);
 }
 
+/**
+ * Every element-wise op kind, a three-way concat, a gather and the
+ * three non-sum reduces, with node names that need mangling: the kinds
+ * the zoo and Sec 6.4.1 corpora render rarely or never (Select, Erf)
+ * are pinned here.
+ */
+Graph
+buildEveryOpKind()
+{
+    Graph g("every.op");
+    GraphBuilder b(g);
+    const NodeId x = b.parameter({4, 64}, "x.in");
+    const NodeId y = b.parameter({4, 64}, "y-in");
+    const NodeId picked = b.select(b.compareGT(x, y), x, y);
+    const NodeId unary = b.tanh(
+        b.exp(b.log(b.abs(b.neg(b.erf(picked))))));
+    const NodeId scaled = b.rsqrt(b.sigmoid(b.power(b.sqrt(unary), 2.5)));
+    const NodeId mixed = b.maximum(b.minimum(scaled, x),
+                                   b.div(b.sub(scaled, y), b.mul(x, y)));
+    const NodeId joined = b.concat({mixed, x, y}, 0);
+    const NodeId table = b.parameter({16, 64}, "table");
+    const NodeId rows = b.parameter({12}, "rows");
+    const NodeId looked_up = b.add(joined, b.gather(table, rows));
+    g.markOutput(b.reduceMax(looked_up, {1}));
+    g.markOutput(b.reduceMin(looked_up, {1}));
+    g.markOutput(b.reduceMean(looked_up, {1}));
+    return g;
+}
+
+TEST(CudaEmitterGolden, EveryOpKindMatchesGolden)
+{
+    const Graph g = buildEveryOpKind();
+    std::string text;
+    for (const Cluster &cluster : findMemoryIntensiveClusters(g)) {
+        const CudaEmission emission = emitStitchKernelCuda(g, cluster, kV100);
+        text += emission.launch_stub;
+        text += '\n';
+        text += emission.source;
+    }
+    for (const char *needle :
+         {" != 0.0f) ? ", "erff(", "powf(", "(elem < ", "_idx = (long)",
+          "fminf(acc, x)", "fmaxf(acc, x)", ".0f;", "v_x_in", "v_y_in"}) {
+        EXPECT_NE(text.find(needle), std::string::npos) << needle;
+    }
+    expectMatchesGolden("every_op_kind.cu", text);
+}
+
 TEST(CudaEmitterGolden, GoldenWorkloadsPassEmittedAnalysis)
 {
     // The pinned texts must also hold up under the AS9xx analyzer —

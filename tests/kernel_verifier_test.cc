@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 
 #include "analysis/kernel_verifier.h"
 #include "core/astitch_backend.h"
@@ -168,6 +169,124 @@ TEST(AccessModel, TransactionsScaleWithStrideAndRepeat)
     EXPECT_DOUBLE_EQ(accessTransactions(access), 3 * ideal);
     access.counts_traffic = false;
     EXPECT_DOUBLE_EQ(accessTransactions(access), 0.0);
+}
+
+// The exact renderings below reach the emitted CUDA access summary,
+// AS7xx messages and the SARIF golden.
+
+TEST(AccessModel, AffineIndexRendersTermsByCoefficient)
+{
+    AffineIndex idx;
+    EXPECT_EQ(idx.toString(), "0  (b<1,t<1,i<1,th<1)");
+
+    // Coefficient 0 drops the term, 1 drops the factor, anything else
+    // (negative included) prints as "+ c*var".
+    idx.offset = -3;
+    idx.coeff_block = -256;
+    idx.coeff_task = -1;
+    idx.coeff_iter = 0;
+    idx.coeff_thread = 1;
+    idx.num_blocks = 4;
+    idx.num_tasks = 2;
+    idx.num_iters = 3;
+    idx.num_threads = 128;
+    EXPECT_EQ(idx.toString(),
+              "-3 + -256*b + -1*t + th  (b<4,t<2,i<3,th<128)");
+
+    idx = AffineIndex{};
+    idx.offset = 7;
+    idx.coeff_iter = 1;
+    idx.coeff_thread = 32;
+    EXPECT_EQ(idx.toString(), "7 + i + 32*th  (b<1,t<1,i<1,th<1)");
+}
+
+TEST(AccessModel, AffineIndexRendersInt64Extremes)
+{
+    AffineIndex idx;
+    idx.offset = std::numeric_limits<std::int64_t>::min();
+    idx.coeff_block = std::numeric_limits<std::int64_t>::max();
+    idx.coeff_thread = std::numeric_limits<std::int64_t>::min();
+    idx.num_blocks = std::numeric_limits<std::int64_t>::max();
+    idx.num_threads = std::numeric_limits<std::int64_t>::min();
+    EXPECT_EQ(idx.toString(),
+              "-9223372036854775808 + 9223372036854775807*b"
+              " + -9223372036854775808*th"
+              "  (b<9223372036854775807,t<1,i<1,th<-9223372036854775808)");
+}
+
+TEST(AccessModel, OpAccessRendersGuardRepeatAndTraffic)
+{
+    OpAccess access;
+    access.buffer = "input:%3";
+    access.extent = 1000;
+    access.index = linearEnumeration(1000, 4, 2, 128);
+    EXPECT_EQ(access.toString(),
+              "read global input:%3[0 + 256*b + 128*t + 128*i + th"
+              "  (b<4,t<2,i<1,th<128)] extent=1000 elem=4B stride=1");
+
+    access.guard = 1000;
+    access.repeat = 1.5;
+    EXPECT_EQ(access.toString(),
+              "read global input:%3[0 + 256*b + 128*t + 128*i + th"
+              "  (b<4,t<2,i<1,th<128)] extent=1000 elem=4B stride=1"
+              " if<1000 x1.5");
+
+    access.repeat = 1.0 / 3.0;
+    access.guard = 0;
+    EXPECT_EQ(access.toString(),
+              "read global input:%3[0 + 256*b + 128*t + 128*i + th"
+              "  (b<4,t<2,i<1,th<128)] extent=1000 elem=4B stride=1"
+              " if<0 x0.333333");
+
+    OpAccess smem;
+    smem.kind = AccessKind::Write;
+    smem.space = AccessSpace::Shared;
+    smem.buffer = "smem";
+    smem.elem_bytes = 8;
+    smem.extent = 64;
+    smem.index.offset = 16;
+    smem.index.coeff_thread = 1;
+    smem.index.num_threads = 32;
+    smem.warp_stride = 0;
+    smem.repeat = 1.0;
+    smem.counts_traffic = false;
+    EXPECT_EQ(smem.toString(),
+              "write shared smem[16 + th  (b<1,t<1,i<1,th<32)] extent=64"
+              " elem=8B stride=0 (no-traffic)");
+
+    smem.space = AccessSpace::Scratch;
+    smem.buffer = "scratch:%12";
+    smem.warp_stride = -2;
+    smem.guard = std::numeric_limits<std::int64_t>::max();
+    smem.repeat = 2.0;
+    EXPECT_EQ(smem.toString(),
+              "write scratch scratch:%12[16 + th  (b<1,t<1,i<1,th<32)]"
+              " extent=64 elem=8B stride=-2 if<9223372036854775807 x2"
+              " (no-traffic)");
+}
+
+TEST(AccessModel, OpAccessRendersRepeatAsStreamGeneralFormat)
+{
+    // A stream's default %g text: six significant digits, exponent
+    // form from 1e6 up, signed zero kept.
+    const std::pair<double, const char *> cases[] = {
+        {2.0, " x2"},           {100.0, " x100"},
+        {999999.0, " x999999"}, {1e6, " x1e+06"},
+        {1234567.0, " x1.23457e+06"}, {0.5, " x0.5"},
+        {0.0, " x0"},           {-0.0, " x-0"},
+        {-2.0, " x-2"},
+    };
+    for (const auto &[repeat, text] : cases) {
+        OpAccess access;
+        access.buffer = "remat:%1";
+        access.extent = 4;
+        access.repeat = repeat;
+        EXPECT_EQ(access.toString(),
+                  std::string("read global remat:%1[0  (b<1,t<1,i<1,th<1)]"
+                              " extent=4 elem=4B stride=1") +
+                      text)
+            << repeat;
+    }
 }
 
 // ---------------------------------------------------------------------
